@@ -54,10 +54,10 @@ int main(int argc, char** argv) {
         sopts.numeric = false;
         sopts.ordering = ordering::Method::kNatural;  // pre-permuted
         sopts.variant = variant;
-        if (fast == 1) {
-          sopts.comm.eager_bytes = eager_bytes;
-          sopts.comm.coalesce = true;
-        }
+        // Both columns pin their transport: the baseline is the legacy
+        // rendezvous protocol, not whatever the library defaults are.
+        sopts.comm.eager_bytes = fast == 1 ? eager_bytes : 0;
+        sopts.comm.coalesce = fast == 1;
         core::SymPackSolver solver(rt, sopts);
         solver.symbolic_factorize(info.matrix);
         solver.factorize();

@@ -5,10 +5,11 @@
 // proxy matrices at a communication-bound rank count.
 //
 // All runs are protocol-only (the schedule and the machine-model
-// charges are what's being measured). The blocked sweep moves the same
-// payload bytes as the per-vector sweeps — solution and contribution
-// panels are w columns wide instead of w separate messages — so the win
-// is pure per-message overhead amortization plus gemm-shaped updates.
+// charges are what's being measured) on the legacy rendezvous
+// transport. The blocked sweep moves the same payload bytes as the
+// per-vector sweeps — solution and contribution panels are w columns
+// wide instead of w separate messages — so the win is pure per-message
+// overhead amortization plus gemm-shaped updates.
 //
 // Options: --scale 0.6 --nodes 16 --ppn 4 --json <path>
 //
@@ -83,6 +84,11 @@ int main(int argc, char** argv) {
       sopts.numeric = false;  // protocol-only
       sopts.ordering = ordering::Method::kNatural;  // pre-permuted
       sopts.solve.rhs_panel = rhs_panel;
+      // Every leg runs the legacy rendezvous transport, so the columns
+      // isolate panel fusion and pipelining from the eager/coalesced
+      // transport defaults (bench_comm measures those).
+      sopts.comm.eager_bytes = 0;
+      sopts.comm.coalesce = false;
       auto solver = std::make_unique<core::SymPackSolver>(rt, sopts);
       solver->symbolic_factorize(info.matrix);
       solver->factorize();

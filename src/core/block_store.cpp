@@ -32,9 +32,10 @@ BlockStore::BlockStore(const symbolic::SymbolicView& sym,
       nrows_[bid] = slot == 0 ? w : sn.blocks[slot - 1].nrows;
       ncols_[bid] = w;
       if (numeric_) {
-        // Pool-backed: small factor blocks recycle slab-pool classes
-        // across factorizations; big blocks bypass to the raw allocator.
-        auto g = rt.rank(owner_[bid]).pool_allocate_host(bytes(bid));
+        // Exact-size and unpooled: the store lives as long as the solver
+        // (every refactorize reuses these blocks), so a size-class pool
+        // would only round each block up and keep nothing to recycle.
+        auto g = rt.rank(owner_[bid]).allocate_host(bytes(bid));
         gptr_[bid] = g;
         data_[bid] = g.local<double>();
       }
@@ -46,7 +47,7 @@ BlockStore::~BlockStore() {
   if (!numeric_) return;
   for (idx_t bid = 0; bid < num_blocks(); ++bid) {
     if (!gptr_[bid].is_null()) {
-      rt_->rank(owner_[bid]).pool_deallocate(gptr_[bid]);
+      rt_->rank(owner_[bid]).deallocate(gptr_[bid]);
     }
   }
 }

@@ -73,9 +73,10 @@ struct FaultToleranceOptions {
   /// threshold doubles after each re-request round (reset on progress),
   /// so a rank that is merely slow does not storm the wire.
   int rerequest_idle_limit = 32;
-  /// Hard cap on re-request rounds per rank per phase. After this many
-  /// rounds the rank stops re-requesting and lets the driver's stall
-  /// guard / watchdog fire — an unrecoverable bug must still abort
+  /// Hard cap on consecutive re-request rounds without a delivered
+  /// message (the budget refills on every in-order delivery). After
+  /// this many rounds the rank stops re-requesting and lets the stall
+  /// guard / watchdog of Runtime::drive fire — an unrecoverable bug must still abort
   /// instead of re-requesting forever (which would count as work and
   /// defeat the stall detection).
   int max_rerequest_rounds = 1000;
@@ -115,20 +116,23 @@ struct ResilienceOptions {
 ResilienceOptions env_resilience_options(ResilienceOptions base);
 
 /// Eager/coalesced signal-transport tuning (DESIGN.md §4e). Both knobs
-/// default OFF so the wire protocol — and with it every golden schedule
-/// hash — is unchanged unless a run opts in.
+/// default ON (the measured fast path). `eager_bytes = 0, coalesce =
+/// false` is the paper's pure-rendezvous Fig. 4 protocol, which the
+/// legacy golden schedule hashes pin explicitly.
 struct CommOptions {
   /// Payloads strictly smaller than this many bytes are inlined into the
   /// signal RPC itself (eager protocol), skipping the consumer's pull
-  /// rget round trip. 0 disables (pure rendezvous, the paper's Fig. 4
-  /// protocol). 4096 is the tuned sweet spot from the bench_comm sweep:
-  /// it covers the latency-bound small-panel/aggregate-row traffic while
-  /// leaving bandwidth-bound blocks on the RMA path.
-  std::int64_t eager_bytes = 0;
+  /// rget round trip. 0 disables (pure rendezvous). 4096 is the tuned
+  /// sweet spot from the bench_comm sweep: it covers the latency-bound
+  /// small-panel/aggregate-row traffic while leaving bandwidth-bound
+  /// blocks on the RMA path.
+  std::int64_t eager_bytes = 4096;
   /// Batch signals to the same destination rank into one RPC per
   /// progress quantum (per-destination outboxes in pgas::Rank, flushed
-  /// by age or when the sender runs out of work).
-  bool coalesce = false;
+  /// by age or when the sender runs out of work). Batch boundaries
+  /// depend on host interleaving when ranks run on threads, so rpcs_sent
+  /// is the one CommStats counter that may differ from a sequential run.
+  bool coalesce = true;
 };
 
 /// Overlay SYMPACK_EAGER_BYTES / SYMPACK_COALESCE onto `base` (same
@@ -144,11 +148,11 @@ CommOptions env_comm_options(CommOptions base);
 /// engine, and amortizing every signal/rget of the solve protocol over
 /// the panel width.
 struct SolveOptions {
-  /// RHS panel width. 1 (default) reproduces the paper's per-vector
-  /// sweeps bit-for-bit: one RHS per forward+backward sweep, schedules
-  /// identical to the historical solver (pinned by the solve goldens in
-  /// tests/test_schedule.cpp). 0 = unbounded (all nrhs in one sweep).
-  int rhs_panel = 1;
+  /// RHS panel width. 0 (default) = unbounded: all nrhs columns ride
+  /// one fused forward+backward sweep. 1 reproduces the paper's
+  /// per-vector sweeps bit-for-bit (one RHS per sweep, pinned by the
+  /// legacy solve goldens in tests/test_schedule.cpp).
+  int rhs_panel = 0;
   /// SolveServer: pipeline consecutive panels so the backward sweep of
   /// batch i runs concurrently with the forward sweep of batch i+1 on
   /// the simulated cluster (two engines sharing the rank clocks). Off =
@@ -216,11 +220,11 @@ struct SolverOptions {
   /// Rank-death resilience: buddy checkpointing + restart recovery
   /// (default off: zero overhead, schedules bit-identical).
   ResilienceOptions resilience{};
-  /// Eager/coalesced signal transport (default off: rendezvous-only,
-  /// bit-identical to the historical protocol).
+  /// Eager/coalesced signal transport (default on: eager_bytes=4096,
+  /// coalesce=true).
   CommOptions comm{};
-  /// Blocked multi-RHS solve + SolveServer tuning (default rhs_panel=1:
-  /// per-vector sweeps, bit-identical to the historical solve phase).
+  /// Blocked multi-RHS solve + SolveServer tuning (default rhs_panel=0:
+  /// one fused sweep over every right-hand side).
   SolveOptions solve{};
   /// Tracing detail (default off: attached tracers see the historical
   /// event stream byte-for-byte).

@@ -184,10 +184,19 @@ void SymPackSolver::factorize() {
   offload_->reset_counters();
 
   // Pool hit/miss tracer marks are gated on the fast comm path being
-  // enabled: at the eager-off/coalesce-off defaults the pool must leave
-  // the trace (and therefore the golden schedule hashes) untouched.
+  // enabled: under the legacy eager-off/coalesce-off transport the pool
+  // must leave the trace (and therefore the golden schedule hashes)
+  // untouched. The hook is removed on every exit, a throwing phase
+  // included, so it never outlives this call's tracer on a reused
+  // runtime.
   const bool comm_fast_path =
       opts_.comm.eager_bytes > 0 || opts_.comm.coalesce;
+  struct PoolHookGuard {
+    pgas::SlabPool* pool = nullptr;
+    ~PoolHookGuard() {
+      if (pool != nullptr) pool->set_event_hook({});
+    }
+  } hook_guard;
   if (tracer_ != nullptr && comm_fast_path) {
     Tracer* tracer = tracer_;
     pgas::Runtime* rt = rt_;
@@ -197,6 +206,7 @@ void SymPackSolver::factorize() {
                      hit ? taskrt::kTrace_pool_hits : taskrt::kTrace_pool_misses,
                      t, t);
     });
+    hook_guard.pool = &rt_->pool();
   }
 
   // Arm the resilience layer: fresh buddy replicas + completed-block
@@ -237,7 +247,6 @@ void SymPackSolver::factorize() {
       ++rec_.attempt;
     }
   }
-  if (tracer_ != nullptr && comm_fast_path) rt_->pool().set_event_hook({});
 
   report_.factor_wall_s = support::WallClock::now() - t0;
   report_.factor_sim_s = rt_->max_clock();

@@ -54,8 +54,8 @@ class Endpoint {
   /// Attach to a runtime. `tracer` (may be null) receives the zero-width
   /// recovery events; recovery state is initialized only when the
   /// runtime has a fault injector, so fault-free runs carry none of it.
-  /// `comm` enables the eager/coalesced transport (both default off —
-  /// the wire protocol is then bit-identical to the historical one).
+  /// `comm` selects the eager/coalesced transport (both on by default;
+  /// with both off the wire protocol is the historical rendezvous one).
   ///
   /// The eager contract with the engine's Msg type: a hidden-friend
   /// `inline_payload_bytes(const Msg&)` reports how many payload bytes
@@ -146,10 +146,16 @@ class Endpoint {
   }
 
   /// Take this rank's pending messages (in delivery order), leaving the
-  /// inbox empty. The caller handles each and counts them as work.
+  /// inbox empty. The caller handles each and counts them as work. A
+  /// delivery is real progress (duplicates never reach the inbox), so it
+  /// also restores the full re-request round budget: the cap bounds
+  /// rounds *without* progress, not rounds per phase, which would let a
+  /// long threaded phase spend it on slow producers before a loss.
   std::vector<Msg> drain(int rank_id) {
+    Slot& s = slots_[rank_id];
     std::vector<Msg> msgs;
-    msgs.swap(slots_[rank_id].inbox);
+    msgs.swap(s.inbox);
+    if (!msgs.empty()) s.rerequest_rounds = 0;
     return msgs;
   }
 

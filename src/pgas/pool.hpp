@@ -38,14 +38,16 @@ namespace sympack::pgas {
 class Rank;
 
 /// Pool knobs (Runtime::Config::pool; SYMPACK_POOL_* env overlay via
-/// env_pool_config). The pool is on by default: with no eager/coalesce
-/// traffic it only serves BlockStore and engine staging buffers, changes
-/// no simulated time, and emits no trace events, so golden schedules are
-/// unaffected.
+/// env_pool_config). The pool is on by default and serves per-message
+/// buffers only (eager payloads, solve staging, fan-in aggregates) plus
+/// buddy-checkpoint replicas; factor blocks are long-lived exact-size
+/// allocate_host blocks and never pass through it. It changes no
+/// simulated time and emits no trace events unless a hook is installed.
 struct PoolConfig {
   bool enabled = true;
-  /// Requests above this bypass the pool entirely (factor-panel blocks
-  /// can reach megabytes; caching those would pin too much memory).
+  /// Requests above this bypass the pool entirely (fan-in aggregates and
+  /// solve panels can reach megabytes; caching those would pin too much
+  /// memory).
   std::size_t max_block_bytes = 256u << 10;
   /// Per-rank cap on bytes parked in free lists; release() beyond the
   /// cap frees the slab for real instead of caching it.
@@ -61,7 +63,7 @@ class SlabPool {
   /// Called (when installed) with the rank id on every pool hit/miss so
   /// the solver can emit zero-width trace events without the pool
   /// depending on core::Tracer. Only installed when the eager/coalesced
-  /// fast path is enabled — default-off runs trace nothing.
+  /// fast path is enabled — legacy-transport runs trace nothing.
   using EventHook = std::function<void(int rank, bool hit)>;
 
   void init(int nranks, const PoolConfig& cfg);

@@ -417,8 +417,11 @@ Runtime::Runtime(Config config) : config_(config) {
 }
 
 Runtime::~Runtime() {
-  // Return the pool's cached slabs first: they are real registered
-  // allocations parked in free lists, not leaks.
+  // Pending inbox/outbox closures may own eager payloads whose deleters
+  // release into pool_, which is destroyed before ranks_: drop them
+  // while the pool is still alive, then return the pool's cached slabs
+  // (real registered allocations parked in free lists, not leaks).
+  purge_inboxes();
   for (auto& r : ranks_) pool_.drain(*r);
   // Free anything the user leaked so ASAN-style runs stay clean; warn so
   // tests can keep allocation discipline honest.
@@ -542,13 +545,21 @@ void Runtime::purge_inboxes() {
 
 void Runtime::drive(const std::function<Step(Rank&)>& step, int stall_limit,
                     std::uint64_t interleave_seed) {
-  if (config_.threaded) {
-    drive_threaded(step);
-    return;
+  try {
+    if (config_.threaded) {
+      drive_threaded(step);
+      return;
+    }
+    const std::uint64_t seed =
+        interleave_seed != 0 ? interleave_seed : config_.interleave_seed;
+    drive_sequential(step, stall_limit, seed);
+  } catch (...) {
+    // An aborted phase leaves messages in flight whose closures capture
+    // its (now unwinding) engine; drop them so the runtime stays usable
+    // for the next phase or solver.
+    purge_inboxes();
+    throw;
   }
-  const std::uint64_t seed =
-      interleave_seed != 0 ? interleave_seed : config_.interleave_seed;
-  drive_sequential(step, stall_limit, seed);
 }
 
 void Runtime::drive_sequential(const std::function<Step(Rank&)>& step,

@@ -379,7 +379,8 @@ class Runtime {
   /// watchdog aborts the phase after config.threaded_watchdog_ms of
   /// all-ranks-idle and throws with the same dump. An exception escaping
   /// `step` on a worker thread is captured, the phase is aborted, and the
-  /// exception is rethrown on the calling thread.
+  /// exception is rethrown on the calling thread. Either way, a drive
+  /// that throws purges every rank's in-flight messages first.
   ///
   /// `interleave_seed` (sequential mode only): nonzero permutes the rank
   /// stepping order each sweep from a xoshiro256** stream seeded with it,
@@ -397,9 +398,10 @@ class Runtime {
 
   /// Drop every RPC entry still parked in rank inboxes/outboxes. Called
   /// internally after a fault-injected drive completes (stale duplicate
-  /// hygiene), and by the recovery layer before re-driving a phase after
-  /// a rank death: the purged lambdas capture the failed attempt's
-  /// engine and must never execute inside the next attempt's progress().
+  /// hygiene), whenever a drive throws, and at destruction (before the
+  /// pool the parked eager payloads release into). The purged lambdas
+  /// capture the failed attempt's engine and must never execute inside
+  /// the next attempt's progress().
   void purge_inboxes();
 
   /// Extra per-rank diagnostics appended to the watchdog/stall dump.

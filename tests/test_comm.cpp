@@ -10,10 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
 #include "core/solver.hpp"
+#include "core/trace.hpp"
+#include "legacy_options.hpp"
 #include "pgas/fault.hpp"
 #include "pgas/machine_model.hpp"
 #include "pgas/pool.hpp"
@@ -212,6 +215,7 @@ TEST(Eager, InlinedBytesStillCountAsHostTraffic) {
   const auto a = sparse::flan_proxy(0.02);
   core::SolverOptions opts;
   opts.numeric = false;  // protocol-only: pure schedule + accounting
+  opts.comm = legacy_comm();
   const core::Report rendezvous = run_factor(a, opts);
   opts.comm.eager_bytes = std::int64_t{1} << 30;  // inline everything
   const core::Report eager = run_factor(a, opts);
@@ -289,6 +293,46 @@ TEST(Eager, SolveSweepsResetCleanlyUnderFaults) {
     ASSERT_NEAR(clean2[i], fault2[i], 1e-9) << "solve 2 entry " << i;
   }
   EXPECT_LT(sparse::relative_residual(a, fault2, b), 1e-10);
+}
+
+// An aborted factorization must leave nothing in flight: parked inbox
+// and outbox closures capture the unwinding engine and own eager
+// payloads that release into the runtime's slab pool. Nor may the
+// aborted solver's pool trace hook (which points at its tracer) stay
+// installed. A fresh solver on the same runtime must neither run nor
+// trip over any of it. The fast path is pinned explicitly so the test
+// keeps covering it whatever the defaults are.
+TEST(Eager, AbortedFactorizeLeavesRuntimeReusable) {
+  pgas::Runtime rt(cluster(8));
+  core::SolverOptions opts;
+  opts.comm.eager_bytes = 4096;
+  opts.comm.coalesce = true;
+
+  // Negate one mid-matrix diagonal entry: that supernode's pivot fails
+  // while other ranks still have signals queued.
+  CscMatrix bad = sparse::flan_proxy(0.02);
+  const sparse::idx_t j = bad.n() / 2;
+  for (sparse::idx_t p = bad.colptr()[j]; p < bad.colptr()[j + 1]; ++p) {
+    if (bad.rowind()[p] == j) bad.values()[p] = -1e6;
+  }
+  {
+    core::Tracer tracer;
+    core::SymPackSolver aborted(rt, opts);
+    aborted.set_tracer(&tracer);
+    aborted.symbolic_factorize(bad);
+    EXPECT_THROW(aborted.factorize(), std::runtime_error);
+  }
+  for (int r = 0; r < rt.nranks(); ++r) {
+    EXPECT_EQ(rt.rank(r).pending_rpc_count(), 0u) << "rank " << r;
+    EXPECT_FALSE(rt.rank(r).has_unflushed_signals()) << "rank " << r;
+  }
+
+  const auto a = sparse::flan_proxy(0.02);
+  const auto b = sparse::rhs_for_ones(a);
+  core::SymPackSolver solver(rt, opts);
+  solver.symbolic_factorize(a);
+  solver.factorize();
+  EXPECT_LT(sparse::relative_residual(a, solver.solve(b), b), 1e-9);
 }
 
 }  // namespace

@@ -162,7 +162,10 @@ const FaultCase kFaultCases[] = {
      [](const RunResult& r) { return r.injected.reorders; }},
     {"transfer", "bones", core::Policy::kPriority,
      [](pgas::FaultConfig& f) { f.transfer_fail_rate = 0.02; },
-     [](const RunResult& r) { return r.stats.retries; }},
+     [](const RunResult& r) { return r.stats.retries; },
+     // Transfer faults target the pull rget, which the default eager
+     // threshold removes for every block of this proxy.
+     [](core::SolverOptions& o) { o.comm.eager_bytes = 0; }},
     {"device", "thermal", core::Policy::kFifo,
      [](pgas::FaultConfig& f) { f.device_deny_rate = 0.05; },
      [](const RunResult& r) { return r.stats.oom_fallbacks; },
@@ -454,7 +457,11 @@ TEST(ChaosThreadedDrive, SurvivesTransferFailures) {
   faults.enabled = true;
   faults.seed = chaos_seed(33);
   faults.transfer_fail_rate = 0.02;
-  const RunResult r = run_solver(a, 6, /*threaded=*/true, faults);
+  // Transfer faults target the pull rget, which the default eager
+  // threshold removes for every block of this proxy.
+  core::SolverOptions opts;
+  opts.comm.eager_bytes = 0;
+  const RunResult r = run_solver(a, 6, /*threaded=*/true, faults, opts);
   EXPECT_LT(r.residual, 1e-10) << "fault seed " << faults.seed;
   EXPECT_GT(r.stats.retries, 0u);
   EXPECT_EQ(r.device_bytes_left, 0u);

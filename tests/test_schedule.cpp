@@ -13,6 +13,12 @@
 // arithmetic but names are platform-proof), then the full CommStats
 // counter block. Faults-on runs pin the recovery protocol's schedule
 // too (ledger replays, dedup, re-requests) under a fixed injection seed.
+//
+// Every pre-existing table pins the options it was captured on
+// explicitly (the legacy rendezvous transport unless a row says
+// otherwise), so a change of library defaults never moves those hashes;
+// the kGoldenDefault table pins the schedules a default-options run
+// produces.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +28,7 @@
 
 #include "core/solver.hpp"
 #include "core/trace.hpp"
+#include "legacy_options.hpp"
 #include "pgas/runtime.hpp"
 #include "sparse/generators.hpp"
 
@@ -91,8 +98,8 @@ std::uint64_t schedule_hash(const core::Tracer& tracer,
   return h;
 }
 
-std::uint64_t run_golden(const std::string& proxy, core::Policy policy,
-                         bool faults, core::CommOptions comm = {},
+std::uint64_t run_golden(const std::string& proxy,
+                         const core::SolverOptions& opts, bool faults,
                          pgas::CommStats* stats_out = nullptr) {
   pgas::Runtime::Config cfg;
   cfg.nranks = 8;
@@ -110,9 +117,6 @@ std::uint64_t run_golden(const std::string& proxy, core::Policy policy,
     cfg.faults.device_deny_rate = 0.05;
   }
   pgas::Runtime rt(cfg);
-  core::SolverOptions opts;
-  opts.policy = policy;
-  opts.comm = comm;
   core::SymPackSolver solver(rt, opts);
   core::Tracer tracer;
   solver.set_tracer(&tracer);
@@ -128,6 +132,14 @@ struct Golden {
   bool faults;
   std::uint64_t hash;
 };
+
+/// Options of a kGolden row: `policy` on the legacy transport.
+core::SolverOptions legacy_opts(core::Policy policy) {
+  core::SolverOptions opts;
+  opts.policy = policy;
+  opts.comm = legacy_comm();
+  return opts;
+}
 
 // Captured on the pre-taskrt engines (commit 7619baa), sequential
 // driver, 8 ranks. Regenerate only for an *intentional* schedule change
@@ -170,7 +182,7 @@ TEST_P(GoldenSchedule, HashMatchesPreRefactorCapture) {
   if (comm_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_EAGER_BYTES/SYMPACK_COALESCE override active";
   }
-  const std::uint64_t h = run_golden(g.proxy, g.policy, g.faults);
+  const std::uint64_t h = run_golden(g.proxy, legacy_opts(g.policy), g.faults);
   EXPECT_EQ(h, g.hash) << "schedule drifted: proxy=" << g.proxy
                        << " policy=" << core::policy_name(g.policy)
                        << " faults=" << (g.faults ? "on" : "off")
@@ -194,7 +206,8 @@ INSTANTIATE_TEST_SUITE_P(All, GoldenSchedule, ::testing::ValuesIn(kGolden),
 // Regeneration helper: prints the full golden table in source form.
 TEST(GoldenScheduleTable, DISABLED_PrintTable) {
   for (const Golden& g : kGolden) {
-    const std::uint64_t h = run_golden(g.proxy, g.policy, g.faults);
+    const std::uint64_t h =
+        run_golden(g.proxy, legacy_opts(g.policy), g.faults);
     printf("    {\"%s\", core::Policy::k%s, %s, 0x%llxull},\n", g.proxy,
            g.policy == core::Policy::kFifo      ? "Fifo"
            : g.policy == core::Policy::kLifo    ? "Lifo"
@@ -211,11 +224,12 @@ TEST(GoldenScheduleTable, DISABLED_PrintTable) {
 // the historical CommStats block, so an accidental extra rget or
 // un-batched signal flips it.
 
-core::CommOptions golden_comm() {
-  core::CommOptions comm;
-  comm.eager_bytes = 4096;
-  comm.coalesce = true;
-  return comm;
+core::SolverOptions eager_opts(core::Policy policy) {
+  core::SolverOptions opts;
+  opts.policy = policy;
+  opts.comm.eager_bytes = 4096;
+  opts.comm.coalesce = true;
+  return opts;
 }
 
 // Captured with eager_bytes=4096 + coalesce on (sequential driver, 8
@@ -241,7 +255,7 @@ TEST_P(GoldenEagerSchedule, HashMatchesCapture) {
   }
   pgas::CommStats stats;
   const std::uint64_t h =
-      run_golden(g.proxy, g.policy, g.faults, golden_comm(), &stats);
+      run_golden(g.proxy, eager_opts(g.policy), g.faults, &stats);
   // The fast path actually engaged on every row.
   EXPECT_GT(stats.eager_sends, 0u);
   EXPECT_GT(stats.coalesced_signals, 0u);
@@ -255,8 +269,7 @@ INSTANTIATE_TEST_SUITE_P(Eager, GoldenEagerSchedule,
 
 TEST(GoldenScheduleTable, DISABLED_PrintEagerTable) {
   for (const Golden& g : kGoldenEager) {
-    const std::uint64_t h =
-        run_golden(g.proxy, g.policy, g.faults, golden_comm());
+    const std::uint64_t h = run_golden(g.proxy, eager_opts(g.policy), g.faults);
     printf("    {\"%s\", core::Policy::kFifo, %s, 0x%llxull},\n", g.proxy,
            g.faults ? "true" : "false", static_cast<unsigned long long>(h));
   }
@@ -289,8 +302,8 @@ std::uint64_t comm_stats_hash(const pgas::CommStats& stats) {
   return h;
 }
 
-std::uint64_t run_solve_golden(const std::string& proxy, int rhs_panel,
-                               int nrhs,
+std::uint64_t run_solve_golden(const std::string& proxy,
+                               const core::SolverOptions& opts, int nrhs,
                                pgas::CommStats* stats_out = nullptr) {
   pgas::Runtime::Config cfg;
   cfg.nranks = 8;
@@ -298,8 +311,6 @@ std::uint64_t run_solve_golden(const std::string& proxy, int rhs_panel,
   cfg.gpus_per_node = 4;
   cfg.device_memory_bytes = 64 << 20;
   pgas::Runtime rt(cfg);
-  core::SolverOptions opts;
-  opts.solve.rhs_panel = rhs_panel;
   core::SymPackSolver solver(rt, opts);
   const CscMatrix a = proxy_matrix(proxy);
   solver.symbolic_factorize(a);
@@ -318,6 +329,14 @@ struct SolveGolden {
   int nrhs;
   std::uint64_t hash;
 };
+
+/// Options of a kGoldenSolve row: `rhs_panel` on the legacy transport.
+core::SolverOptions legacy_solve_opts(int rhs_panel) {
+  core::SolverOptions opts;
+  opts.comm = legacy_comm();
+  opts.solve.rhs_panel = rhs_panel;
+  return opts;
+}
 
 // Captured at the introduction of the blocked multi-RHS path, 8 ranks,
 // fifo, faults off. The rhs_panel=1 rows reproduce the per-vector
@@ -339,7 +358,8 @@ TEST_P(GoldenSolveSchedule, CommStatsMatchCapture) {
   if (comm_env_overridden() || solve_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_* comm/solve environment override active";
   }
-  const std::uint64_t h = run_solve_golden(g.proxy, g.rhs_panel, g.nrhs);
+  const std::uint64_t h =
+      run_solve_golden(g.proxy, legacy_solve_opts(g.rhs_panel), g.nrhs);
   EXPECT_EQ(h, g.hash) << "solve schedule drifted: proxy=" << g.proxy
                        << " rhs_panel=" << g.rhs_panel << " nrhs=" << g.nrhs
                        << " actual=0x" << std::hex << h << "ull";
@@ -361,7 +381,8 @@ INSTANTIATE_TEST_SUITE_P(Solve, GoldenSolveSchedule,
 
 TEST(GoldenScheduleTable, DISABLED_PrintSolveTable) {
   for (const SolveGolden& g : kGoldenSolve) {
-    const std::uint64_t h = run_solve_golden(g.proxy, g.rhs_panel, g.nrhs);
+    const std::uint64_t h =
+        run_solve_golden(g.proxy, legacy_solve_opts(g.rhs_panel), g.nrhs);
     printf("    {\"%s\", %d, %d, 0x%llxull},\n", g.proxy, g.rhs_panel,
            g.nrhs, static_cast<unsigned long long>(h));
   }
@@ -375,12 +396,82 @@ TEST(SolveSchedule, PanelSweepAmortizesMessages) {
     GTEST_SKIP() << "SYMPACK_* comm/solve environment override active";
   }
   pgas::CommStats per_vector, blocked;
-  run_solve_golden("flan", 1, 8, &per_vector);
-  run_solve_golden("flan", 8, 8, &blocked);
+  run_solve_golden("flan", legacy_solve_opts(1), 8, &per_vector);
+  run_solve_golden("flan", legacy_solve_opts(8), 8, &blocked);
   EXPECT_EQ(blocked.bytes_from_host, per_vector.bytes_from_host);
   // 8 columns per message instead of 1: signals and pulls collapse ~8x.
   EXPECT_LT(blocked.rpcs_sent * 4, per_vector.rpcs_sent);
   EXPECT_LT(blocked.gets * 4, per_vector.gets);
+}
+
+// ------------------------------------------------------------------
+// Default-options goldens: what a user who sets nothing gets (eager +
+// coalesced transport, one fused RHS panel). Factor rows hash the trace
+// plus CommStats like kGolden; solve rows hash the solve phase's
+// CommStats at nrhs = 4 like kGoldenSolve. Captured when these became
+// the defaults (sequential drive, 8 ranks, faults off); the factor
+// hashes equal the faults-off kGoldenEager rows because the defaults are
+// exactly that transport at fifo. Regenerate via
+// DISABLED_PrintDefaultTables — only for an intentional change of the
+// defaults or of the schedules they produce.
+
+struct DefaultGolden {
+  const char* proxy;
+  std::uint64_t factor_hash;
+  std::uint64_t solve_hash;  // nrhs = 4
+};
+
+const DefaultGolden kGoldenDefault[] = {
+    {"flan", 0x34cf3f084429f975ull, 0xea5f34968d4966ccull},
+    {"bones", 0x4dc256fe6fa820full, 0x87986504f1a0eceull},
+    {"thermal", 0xd612a177306949a5ull, 0x8c83214083a98e5eull},
+};
+
+constexpr int kDefaultGoldenNrhs = 4;
+
+class GoldenDefaultSchedule : public ::testing::TestWithParam<DefaultGolden> {
+};
+
+TEST_P(GoldenDefaultSchedule, FactorHashMatchesCapture) {
+  const DefaultGolden& g = GetParam();
+  if (comm_env_overridden()) {
+    GTEST_SKIP() << "SYMPACK_EAGER_BYTES/SYMPACK_COALESCE override active";
+  }
+  pgas::CommStats stats;
+  const std::uint64_t h =
+      run_golden(g.proxy, core::SolverOptions{}, /*faults=*/false, &stats);
+  EXPECT_GT(stats.eager_sends, 0u);
+  EXPECT_GT(stats.coalesced_signals, 0u);
+  EXPECT_EQ(h, g.factor_hash) << "default schedule drifted: proxy=" << g.proxy
+                              << " actual=0x" << std::hex << h << "ull";
+}
+
+TEST_P(GoldenDefaultSchedule, SolveCommStatsMatchCapture) {
+  const DefaultGolden& g = GetParam();
+  if (comm_env_overridden() || solve_env_overridden()) {
+    GTEST_SKIP() << "SYMPACK_* comm/solve environment override active";
+  }
+  const std::uint64_t h =
+      run_solve_golden(g.proxy, core::SolverOptions{}, kDefaultGoldenNrhs);
+  EXPECT_EQ(h, g.solve_hash) << "default solve drifted: proxy=" << g.proxy
+                             << " actual=0x" << std::hex << h << "ull";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Default, GoldenDefaultSchedule, ::testing::ValuesIn(kGoldenDefault),
+    [](const ::testing::TestParamInfo<DefaultGolden>& info) {
+      return std::string(info.param.proxy);
+    });
+
+TEST(GoldenScheduleTable, DISABLED_PrintDefaultTables) {
+  for (const DefaultGolden& g : kGoldenDefault) {
+    const core::SolverOptions opts;
+    printf("    {\"%s\", 0x%llxull, 0x%llxull},\n", g.proxy,
+           static_cast<unsigned long long>(
+               run_golden(g.proxy, opts, /*faults=*/false)),
+           static_cast<unsigned long long>(
+               run_solve_golden(g.proxy, opts, kDefaultGoldenNrhs)));
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "core/selinv.hpp"
 #include "core/solver.hpp"
 #include "core/trace.hpp"
+#include "legacy_options.hpp"
 #include "sparse/densevec.hpp"
 #include "sparse/generators.hpp"
 #include "support/random.hpp"
@@ -192,7 +193,11 @@ TEST(CriticalPathPolicy, CorrectAndParses) {
 TEST(Trace, RecordsEveryTask) {
   const auto a = sparse::grid2d_laplacian(8, 8);
   pgas::Runtime rt(cluster(4));
-  SymPackSolver solver(rt, SolverOptions{});
+  // Legacy transport: the eager/coalesced path adds zero-width pool
+  // hit/miss marks, and this test counts task spans only.
+  SolverOptions opts;
+  opts.comm = legacy_comm();
+  SymPackSolver solver(rt, opts);
   Tracer tracer;
   solver.set_tracer(&tracer);
   solver.symbolic_factorize(a);

@@ -9,6 +9,7 @@
 
 #include "blas/blas.hpp"
 #include "core/solver.hpp"
+#include "legacy_options.hpp"
 #include "sparse/densevec.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permute.hpp"
@@ -330,7 +331,11 @@ TEST(Solver, ThreadedIrregularStress) {
 TEST(Solver, ReportPopulated) {
   pgas::Runtime rt(cluster(4));
   const auto a = sparse::grid2d_laplacian(12, 12);
-  SymPackSolver solver(rt, SolverOptions{});
+  // Legacy rendezvous transport: the gets assertion below needs pulls,
+  // which the eager default elides for blocks this small.
+  SolverOptions opts;
+  opts.comm = legacy_comm();
+  SymPackSolver solver(rt, opts);
   solver.symbolic_factorize(a);
   solver.factorize();
   const auto b = sparse::rhs_for_ones(a);

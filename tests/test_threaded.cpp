@@ -8,7 +8,10 @@
 // order scatter-adds fold update contributions into a block, so entries
 // agree to rounding (1e-9) while residuals and every CommStats counter
 // must match the sequential driver exactly (the task/communication
-// protocol is schedule-independent).
+// protocol is schedule-independent). The one exception is coalescing:
+// which signals share a batch follows host interleaving, so RPC counts
+// may differ. The exact-counter legs therefore run uncoalesced, and one
+// leg at full defaults checks everything but the RPC counts.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -84,12 +87,22 @@ struct RunResult {
   std::size_t device_bytes_left = 0;
 };
 
+/// The default transport minus coalescing: every CommStats counter is
+/// schedule-independent.
+core::CommOptions uncoalesced_comm() {
+  core::CommOptions comm;
+  comm.coalesce = false;
+  return comm;
+}
+
 RunResult run_solver(const CscMatrix& a, int nranks, bool threaded,
-                     core::Policy policy, std::uint64_t seed = 0) {
+                     core::Policy policy, std::uint64_t seed = 0,
+                     core::CommOptions comm = uncoalesced_comm()) {
   pgas::Runtime rt(cluster(nranks, threaded));
   core::SolverOptions opts;
   opts.policy = policy;
   opts.interleave_seed = seed;
+  opts.comm = comm;
   core::SymPackSolver solver(rt, opts);
   solver.symbolic_factorize(a);
   solver.factorize();
@@ -180,6 +193,38 @@ INSTANTIATE_TEST_SUITE_P(
                                          core::Policy::kPriority,
                                          core::Policy::kCriticalPath)),
     parity_name);
+
+// Full library defaults, coalescing included, on every proxy: the
+// batches (and so rpcs_sent / rpcs_executed) follow host interleaving,
+// but the factor, the pulls, the bytes moved and the eager sends must
+// not.
+TEST(ThreadedDefaults, MatchSequentialExceptRpcCounts) {
+  for (const char* name : {"flan", "bones", "thermal"}) {
+    const auto a = proxy_matrix(name);
+    const RunResult seq = run_solver(a, 8, /*threaded=*/false,
+                                     core::Policy::kFifo, 0,
+                                     core::CommOptions{});
+    const RunResult thr = run_solver(a, 8, /*threaded=*/true,
+                                     core::Policy::kFifo, 0,
+                                     core::CommOptions{});
+    EXPECT_LT(seq.factor_residual, 1e-10) << name;
+    EXPECT_LT(thr.factor_residual, 1e-10) << name;
+    ASSERT_EQ(seq.factor.size(), thr.factor.size());
+    for (std::size_t i = 0; i < seq.factor.size(); ++i) {
+      ASSERT_NEAR(seq.factor[i], thr.factor[i], 1e-9)
+          << name << " entry " << i;
+    }
+    EXPECT_GT(seq.stats.eager_sends, 0u) << name;
+    EXPECT_GT(seq.stats.coalesced_signals, 0u) << name;
+    EXPECT_EQ(seq.stats.gets, thr.stats.gets) << name;
+    EXPECT_EQ(seq.stats.bytes_from_host, thr.stats.bytes_from_host) << name;
+    EXPECT_EQ(seq.stats.bytes_from_device, thr.stats.bytes_from_device)
+        << name;
+    EXPECT_EQ(seq.stats.bytes_to_device, thr.stats.bytes_to_device) << name;
+    EXPECT_EQ(seq.stats.eager_sends, thr.stats.eager_sends) << name;
+    EXPECT_EQ(thr.device_bytes_left, 0u) << name;
+  }
+}
 
 // ------------------------------------------------------------------
 // Seeded interleaving fuzzer at the solver level.
