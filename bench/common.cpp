@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include "baseline/rightlooking.hpp"
 #include "ordering/ordering.hpp"
@@ -20,7 +21,10 @@ using support::json_escape;
 
 JsonReport::Row& JsonReport::Row::set(const std::string& key,
                                       const std::string& value) {
-  fields_.emplace_back(key, "\"" + json_escape(value) + "\"");
+  std::string quoted(1, '"');
+  quoted += json_escape(value);
+  quoted += '"';
+  fields_.emplace_back(key, std::move(quoted));
   return *this;
 }
 
@@ -57,7 +61,10 @@ std::string JsonReport::to_string() const {
     out += "  {";
     const auto& fields = rows_[r].fields_;
     for (std::size_t f = 0; f < fields.size(); ++f) {
-      out += "\"" + json_escape(fields[f].first) + "\": " + fields[f].second;
+      out += '"';
+      out += json_escape(fields[f].first);
+      out += "\": ";
+      out += fields[f].second;
       if (f + 1 < fields.size()) out += ", ";
     }
     out += r + 1 < rows_.size() ? "},\n" : "}\n";

@@ -125,7 +125,7 @@ void FactorEngine::publish_restored() {
       }
       for (int r : tg_->recipients(k, slot)) {
         if (local_uses(r, k, slot) == 0) continue;
-        net_.send(owner, r, Signal{k, slot});
+        net_.send(owner, r, Signal{k, slot, 0, nullptr});
       }
     }
   }
@@ -389,8 +389,7 @@ void FactorEngine::publish(pgas::Rank& rank, idx_t k, BlockSlot slot) {
   const idx_t bid = store_->block_id(k, slot);
   const std::size_t bytes = store_->bytes(bid);
   if (net_.eager(bytes)) {
-    Signal sig{k, slot};
-    sig.eager_bytes = static_cast<std::uint32_t>(bytes);
+    Signal sig{k, slot, static_cast<std::uint32_t>(bytes), nullptr};
     if (store_->numeric()) {
       // One pooled buffer serves every recipient (the signal copies
       // share it); it returns to the pool when the last consumer's
@@ -404,7 +403,7 @@ void FactorEngine::publish(pgas::Rank& rank, idx_t k, BlockSlot slot) {
     return;
   }
   for (int r : recipients) {
-    net_.send(rank, r, Signal{k, slot});
+    net_.send(rank, r, Signal{k, slot, 0, nullptr});
   }
 }
 

@@ -435,7 +435,7 @@ void FanInEngine::publish_factor(pgas::Rank& rank, idx_t k, BlockSlot slot) {
 void FanInEngine::send_pivot(pgas::Rank& rank, idx_t k, BlockSlot slot,
                              const std::vector<int>& recipients) {
   if (recipients.empty()) return;
-  Signal sig{Signal::Type::kPivot, k, slot, -1, nullptr, 0.0};
+  Signal sig{Signal::Type::kPivot, k, slot, -1, nullptr, 0.0, 0, nullptr};
   const idx_t bid = store_->block_id(k, slot);
   const std::size_t bytes = store_->bytes(bid);
   if (net_.eager(bytes)) {
@@ -604,7 +604,7 @@ void FanInEngine::flush_aggregate(pgas::Rank& rank, idx_t bid) {
   // and no pull on the receiver; larger ones keep the rendezvous path
   // with a pool-backed staging buffer.
   const std::size_t bytes = store_->bytes(bid);
-  Signal sig{Signal::Type::kAggregate, me, 0, bid, nullptr, 0.0};
+  Signal sig{Signal::Type::kAggregate, me, 0, bid, nullptr, 0.0, 0, nullptr};
   if (net_.eager(bytes)) {
     sig.eager_bytes = static_cast<std::uint32_t>(bytes);
     if (store_->numeric()) {

@@ -282,10 +282,9 @@ void SolveEngine::publish_solution(pgas::Rank& rank, idx_t k, bool backward) {
         enqueue_local(me, store_->numeric() ? seg_[k].data() : nullptr,
                       rank.now());
       } else {
-        Msg m{Msg::Type::kX, k, 0, 0, pgas::GlobalPtr{}, bytes};
-        m.eager_bytes = static_cast<std::uint32_t>(bytes);
-        m.payload = payload;
-        net_.send(rank, r, std::move(m));
+        net_.send(rank, r,
+                  Msg{Msg::Type::kX, k, 0, 0, pgas::GlobalPtr{}, bytes,
+                      static_cast<std::uint32_t>(bytes), payload});
       }
     }
     return;
@@ -304,7 +303,7 @@ void SolveEngine::publish_solution(pgas::Rank& rank, idx_t k, bool backward) {
       enqueue_local(me, store_->numeric() ? seg_[k].data() : nullptr,
                     rank.now());
     } else {
-      net_.send(rank, r, Msg{Msg::Type::kX, k, 0, 0, src, bytes});
+      net_.send(rank, r, Msg{Msg::Type::kX, k, 0, 0, src, bytes, 0, nullptr});
     }
   }
 }
@@ -466,8 +465,8 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
   const std::size_t bytes =
       sizeof(double) * static_cast<std::size_t>(out_rows) * nrhs_;
   if (net_.eager(bytes)) {
-    Msg m{Msg::Type::kContrib, 0, panel, slot, pgas::GlobalPtr{}, bytes};
-    m.eager_bytes = static_cast<std::uint32_t>(bytes);
+    Msg m{Msg::Type::kContrib, 0, panel, slot, pgas::GlobalPtr{}, bytes,
+          static_cast<std::uint32_t>(bytes), nullptr};
     if (numeric) {
       auto payload = pgas::shared_host_buffer(rank, bytes / sizeof(double));
       std::memcpy(payload.get(), z.data(), bytes);
@@ -483,7 +482,7 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
     pr.owned_buffers.push_back(buf);
   }
   net_.send(rank, dest_owner,
-            Msg{Msg::Type::kContrib, 0, panel, slot, buf, bytes});
+            Msg{Msg::Type::kContrib, 0, panel, slot, buf, bytes, 0, nullptr});
 }
 
 void SolveEngine::apply_contribution(pgas::Rank& rank, idx_t panel,

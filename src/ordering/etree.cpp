@@ -3,7 +3,28 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sparse/permute.hpp"
+
 namespace sympack::ordering {
+namespace {
+
+// Liu's algorithm for one entry a(i,k), k < i: walk up from k to the
+// root of its current subtree, compressing the path to i, and make i
+// that root's parent. Entries with k >= i fall through.
+void link_row_entry(idx_t k, idx_t i, std::vector<idx_t>& parent,
+                    std::vector<idx_t>& ancestor) {
+  while (k != -1 && k < i) {
+    const idx_t next = ancestor[k];
+    ancestor[k] = i;
+    if (next == -1) {
+      parent[k] = i;
+      break;
+    }
+    k = next;
+  }
+}
+
+}  // namespace
 
 std::vector<idx_t> elimination_tree(const sparse::CscMatrix& a) {
   const idx_t n = a.n();
@@ -38,17 +59,27 @@ std::vector<idx_t> elimination_tree(const sparse::CscMatrix& a) {
 
   for (idx_t i = 0; i < n; ++i) {
     for (idx_t p = rowptr[i]; p < rowptr[i + 1]; ++p) {
-      idx_t k = rowind[p];  // k < i, a(i,k) != 0
-      // Walk up from k to the current root, compressing to i.
-      while (k != -1 && k < i) {
-        const idx_t next = ancestor[k];
-        ancestor[k] = i;
-        if (next == -1) {
-          parent[k] = i;
-          break;
-        }
-        k = next;
-      }
+      link_row_entry(rowind[p], i, parent, ancestor);  // k < i, a(i,k) != 0
+    }
+  }
+  return parent;
+}
+
+std::vector<idx_t> elimination_tree(const Graph& g,
+                                    const std::vector<idx_t>& perm) {
+  const idx_t n = g.n;
+  if (static_cast<idx_t>(perm.size()) != n) {
+    throw std::invalid_argument("elimination_tree: size mismatch");
+  }
+  const auto iperm = sparse::invert_permutation(perm);
+  std::vector<idx_t> parent(n, -1);
+  std::vector<idx_t> ancestor(n, -1);
+  // Row i of the permuted lower triangle is the neighbours of old
+  // vertex perm[i] with a smaller new index (larger ones are skipped).
+  for (idx_t i = 0; i < n; ++i) {
+    const idx_t v = perm[i];
+    for (idx_t p = g.adjptr[v]; p < g.adjptr[v + 1]; ++p) {
+      link_row_entry(iperm[g.adjind[p]], i, parent, ancestor);
     }
   }
   return parent;

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "ordering/graph.hpp"
 #include "sparse/csc.hpp"
 #include "sparse/types.hpp"
 
@@ -15,6 +16,13 @@ using sparse::idx_t;
 /// Compute the elimination tree of A (lower CSC). parent[j] = parent
 /// column of j, or -1 for roots. Liu's algorithm with path compression.
 std::vector<idx_t> elimination_tree(const sparse::CscMatrix& a);
+
+/// Elimination tree of P A P^T straight from A's adjacency graph, where
+/// `perm` is new-to-old (sparse/permute.hpp): equal to
+/// elimination_tree(permute_symmetric(a, perm)) without building the
+/// permuted matrix.
+std::vector<idx_t> elimination_tree(const Graph& g,
+                                    const std::vector<idx_t>& perm);
 
 /// Postorder of the forest given by `parent`; children are visited before
 /// parents. Returns the postorder as new-to-old: post[k] = node visited

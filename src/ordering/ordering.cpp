@@ -36,12 +36,12 @@ std::vector<idx_t> compute_ordering(const sparse::CscMatrix& a,
     return sparse::identity_permutation(a.n());
   }
   const Graph g = build_graph(a);
-  switch (method) {
-    case Method::kRcm: return rcm(g);
-    case Method::kAmd: return amd(g);
-    case Method::kNestedDissection: return nested_dissection(g);
-    default: return sparse::identity_permutation(a.n());
-  }
+  if (method == Method::kRcm) return rcm(g);
+  const auto perm = method == Method::kAmd ? amd(g) : nested_dissection(g);
+  // Renumber in an etree postorder: an equivalent ordering (same fill),
+  // but every subtree becomes a contiguous column range, so each chain
+  // in the tree lies next to its parent for supernode amalgamation.
+  return sparse::compose(perm, postorder(elimination_tree(g, perm)));
 }
 
 FillStats evaluate_ordering(const sparse::CscMatrix& a,

@@ -19,7 +19,10 @@ enum class Method {
 Method parse_method(const std::string& name);
 std::string method_name(Method method);
 
-/// Compute a fill-reducing permutation (new-to-old) for A.
+/// Compute a fill-reducing permutation (new-to-old) for A. AMD and
+/// nested-dissection results come back renumbered in a postorder of
+/// their elimination tree (same fill, contiguous subtrees); RCM and
+/// natural are returned as computed.
 std::vector<idx_t> compute_ordering(const sparse::CscMatrix& a, Method method);
 
 /// Fill statistics of factorizing A under permutation `perm`: factor

@@ -158,6 +158,9 @@ class Rank {
   /// `clock_floor` (the survivors' frontier plus the restart penalty).
   /// In-flight state stays dropped; the caller re-arms the lost work.
   void resurrect(double clock_floor);
+  /// Number of progress() calls so far: the heartbeat epoch the kill
+  /// schedule (FaultConfig::kill_event) counts against.
+  [[nodiscard]] std::uint64_t heartbeat() const { return progress_epoch_; }
 
   // --- Memory.
   GlobalPtr allocate_host(std::size_t bytes);

@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "sparse/coo.hpp"
 
@@ -15,6 +20,27 @@ std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   return s;
+}
+
+/// Entry (i, j) as written on disk (1-based).
+std::string entry_name(idx_t i, idx_t j) {
+  return "(" + std::to_string(i + 1) + ", " + std::to_string(j + 1) + ")";
+}
+
+/// Parse a value token; strtod rather than operator>> so "inf" and "nan"
+/// are read and can be reported as what they are.
+double parse_value(const std::string& token, idx_t i, idx_t j) {
+  char* end = nullptr;
+  const double v = std::strtod(token.c_str(), &end);
+  if (end == token.c_str() || *end != '\0') {
+    throw std::runtime_error("MatrixMarket: malformed value '" + token +
+                             "' at entry " + entry_name(i, j));
+  }
+  if (!std::isfinite(v)) {
+    throw std::runtime_error("MatrixMarket: non-finite value '" + token +
+                             "' at entry " + entry_name(i, j));
+  }
+  return v;
 }
 
 }  // namespace
@@ -62,19 +88,51 @@ CscMatrix read_matrix_market(std::istream& in) {
   }
 
   CooBuilder builder(rows);
+  // General input: the off-diagonal entries of each triangle, keyed by
+  // their lower-triangle position, to check the two mirror each other.
+  std::map<std::pair<idx_t, idx_t>, double> lower_part, upper_part;
   for (idx_t k = 0; k < entries; ++k) {
     idx_t i = 0, j = 0;
-    double v = 1.0;
     if (!(in >> i >> j)) {
       throw std::runtime_error("MatrixMarket: truncated entry list");
     }
-    if (!pattern && !(in >> v)) {
-      throw std::runtime_error("MatrixMarket: truncated entry list");
+    if (i < 1 || i > rows || j < 1 || j > rows) {
+      throw std::runtime_error("MatrixMarket: entry (" + std::to_string(i) +
+                               ", " + std::to_string(j) +
+                               ") is outside the matrix");
     }
     --i;  // 1-based on disk
     --j;
-    if (!symmetric && i < j) continue;  // general: keep lower triangle only
+    double v = 1.0;
+    if (!pattern) {
+      std::string token;
+      if (!(in >> token)) {
+        throw std::runtime_error("MatrixMarket: truncated entry list");
+      }
+      v = parse_value(token, i, j);
+    }
+    if (!symmetric && i != j) {
+      auto& part = i > j ? lower_part : upper_part;
+      part[{std::max(i, j), std::min(i, j)}] += v;
+      if (i < j) continue;  // keep the lower triangle only
+    }
     builder.add(i, j, v);
+  }
+  const auto asymmetric = [](idx_t i, idx_t j) {
+    return std::runtime_error(
+        "MatrixMarket: general matrix is not symmetric: entry " +
+        entry_name(i, j) + " has no equal entry " + entry_name(j, i));
+  };
+  for (const auto& [pos, v] : lower_part) {
+    const auto mirror = upper_part.find(pos);
+    if (mirror == upper_part.end() || mirror->second != v) {
+      throw asymmetric(pos.first, pos.second);
+    }
+    upper_part.erase(mirror);
+  }
+  if (!upper_part.empty()) {
+    const auto [i, j] = upper_part.begin()->first;
+    throw asymmetric(j, i);
   }
   return builder.build();
 }

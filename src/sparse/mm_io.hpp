@@ -13,9 +13,11 @@ namespace sympack::sparse {
 
 /// Read a Matrix Market coordinate matrix.
 /// Supported qualifiers: real/integer/pattern x symmetric/general.
-/// For `general` inputs the matrix is assumed numerically symmetric and
-/// only lower-triangle entries are kept. `pattern` entries get value 1.
-/// Throws std::runtime_error on malformed input.
+/// A `general` input must be symmetric: every off-diagonal (i,j) needs a
+/// (j,i) of equal value, and only the lower triangle is kept. `pattern`
+/// entries get value 1. Throws std::runtime_error on malformed input, a
+/// nonsymmetric `general` matrix or a non-finite value, naming the
+/// offending entry.
 CscMatrix read_matrix_market(std::istream& in);
 CscMatrix read_matrix_market_file(const std::string& path);
 

@@ -1,9 +1,9 @@
 #include "sparse/permute.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
-
-#include "sparse/coo.hpp"
+#include <utility>
 
 namespace sympack::sparse {
 
@@ -30,18 +30,56 @@ std::vector<idx_t> invert_permutation(const std::vector<idx_t>& perm) {
 
 CscMatrix permute_symmetric(const CscMatrix& a,
                             const std::vector<idx_t>& perm) {
-  if (static_cast<idx_t>(perm.size()) != a.n()) {
+  const idx_t n = a.n();
+  if (static_cast<idx_t>(perm.size()) != n) {
     throw std::invalid_argument("permute_symmetric: size mismatch");
   }
   const auto iperm = invert_permutation(perm);
-  CooBuilder builder(a.n());
-  for (idx_t j = 0; j < a.n(); ++j) {
-    for (idx_t p = a.colptr()[j]; p < a.colptr()[j + 1]; ++p) {
-      const idx_t i = a.rowind()[p];
-      builder.add(iperm[i], iperm[j], a.values()[p]);
+  const auto& acolptr = a.colptr();
+  const auto& arowind = a.rowind();
+  // Entry (i, j) of A lands at (max, min) of (iperm[i], iperm[j]) in B.
+  // A stores every diagonal (CscMatrix invariant), so B's columns have
+  // theirs too. Count per column, then scatter.
+  std::vector<idx_t> colptr(n + 1, 0);
+  for (idx_t j = 0; j < n; ++j) {
+    for (idx_t p = acolptr[j]; p < acolptr[j + 1]; ++p) {
+      ++colptr[std::min(iperm[arowind[p]], iperm[j]) + 1];
     }
   }
-  return builder.build();
+  for (idx_t j = 0; j < n; ++j) colptr[j + 1] += colptr[j];
+  std::vector<idx_t> rowind(arowind.size());
+  std::vector<double> values(arowind.size());
+  {
+    std::vector<idx_t> cursor(colptr.begin(), colptr.end() - 1);
+    for (idx_t j = 0; j < n; ++j) {
+      for (idx_t p = acolptr[j]; p < acolptr[j + 1]; ++p) {
+        const idx_t pi = iperm[arowind[p]];
+        const idx_t pj = iperm[j];
+        const idx_t q = cursor[std::min(pi, pj)]++;
+        rowind[q] = std::max(pi, pj);
+        values[q] = a.values()[p];
+      }
+    }
+  }
+  // Sort each column by row, carrying the values along.
+  std::vector<std::pair<idx_t, double>> column;
+  for (idx_t j = 0; j < n; ++j) {
+    const auto first = rowind.begin() + colptr[j];
+    const auto last = rowind.begin() + colptr[j + 1];
+    if (std::is_sorted(first, last)) continue;
+    column.clear();
+    for (idx_t q = colptr[j]; q < colptr[j + 1]; ++q) {
+      column.emplace_back(rowind[q], values[q]);
+    }
+    std::sort(column.begin(), column.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (idx_t q = colptr[j]; q < colptr[j + 1]; ++q) {
+      rowind[q] = column[q - colptr[j]].first;
+      values[q] = column[q - colptr[j]].second;
+    }
+  }
+  return CscMatrix(n, std::move(colptr), std::move(rowind),
+                   std::move(values));
 }
 
 std::vector<double> permute_vector(const std::vector<double>& x,

@@ -9,6 +9,26 @@
 // chain into its parent when the padding this introduces is small), and
 // optionally split to a maximum width so the 2D distribution has enough
 // blocks to balance.
+//
+// Amalgamation only merges a group into the group right after it, so it
+// relies on the ordering being an etree postorder, which
+// compute_ordering produces for ND and AMD: every chain then sits next
+// to its parent. The relax defaults (4, 0.05) were
+// picked by a sweep on the e2ebench workloads under that postorder
+// (seed 0, factor_sim_s; peak memory against the unpostordered run):
+//
+//   (small, ratio)  thermal-solve        bones-timestep
+//   (8, 0.15)       0.0532 s, +8.5% mem  0.0575 s
+//   (8, 0.05)       0.0527 s, +5.7% mem  0.0652 s
+//   (6, 0.05)       0.0577 s, +2.9% mem  0.0707 s
+//   (4, 0.15)       0.0644 s, +4.8% mem  0.0605 s
+//   (4, 0.05)       0.0619 s, +1.9% mem  0.0622 s
+//   (4, 0.00)       0.0688 s, +0.7% mem  0.0702 s
+//   (2, 0.05)       0.0778 s, -2.7% mem  0.0669 s
+//
+// Of the settings that keep thermal's peak memory within +3% and
+// bones' factor time within 10%, (4, 0.05) factors thermal fastest
+// (unpostordered at (8, 0.15): thermal 0.0847 s, bones 0.0635 s).
 #pragma once
 
 #include <cstdint>
@@ -25,10 +45,10 @@ struct SymbolicOptions {
   bool amalgamate = true;
   /// Maximum fraction of explicit zeros a merge may add to the merged
   /// panel.
-  double relax_ratio = 0.15;
+  double relax_ratio = 0.05;
   /// Supernodes at or below this width are merged into their parent
   /// regardless of relax_ratio (tiny panels cost more than padding).
-  idx_t relax_small = 8;
+  idx_t relax_small = 4;
   /// Split supernodes wider than this (0 = unlimited). Narrower panels
   /// mean more blocks and better 2D load balance.
   idx_t max_width = 128;

@@ -3,9 +3,19 @@
 // across drive modes, rendezvous reference legs. The library defaults are
 // the eager/coalesced transport (core/options.hpp); these tests pin the
 // old wire protocol explicitly so they keep checking what they name.
+//
+// Likewise the ordering and supernode partition those hashes were
+// captured on: the raw nested-dissection permutation (before
+// compute_ordering renumbered it in an etree postorder) and the old
+// relaxed-amalgamation thresholds.
 #pragma once
 
+#include <utility>
+
 #include "core/options.hpp"
+#include "ordering/graph.hpp"
+#include "ordering/nd.hpp"
+#include "sparse/permute.hpp"
 
 namespace sympack {
 
@@ -15,6 +25,26 @@ inline core::CommOptions legacy_comm() {
   comm.eager_bytes = 0;
   comm.coalesce = false;
   return comm;
+}
+
+/// A matrix and the solver options to factor it with.
+struct OrderedProblem {
+  sparse::CscMatrix a;
+  core::SolverOptions opts;
+};
+
+/// `a` pre-permuted with the raw nested-dissection ordering and `opts`
+/// set to keep it (natural ordering) and to amalgamate with the old
+/// (8, 0.15) thresholds: the supernode partition every golden captured
+/// before the etree postorder was factored on.
+inline OrderedProblem legacy_ordered(const sparse::CscMatrix& a,
+                                     core::SolverOptions opts = {}) {
+  opts.ordering = ordering::Method::kNatural;
+  opts.symbolic.relax_small = 8;
+  opts.symbolic.relax_ratio = 0.15;
+  return {sparse::permute_symmetric(
+              a, ordering::nested_dissection(ordering::build_graph(a))),
+          std::move(opts)};
 }
 
 }  // namespace sympack

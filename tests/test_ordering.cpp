@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "ordering/amd.hpp"
 #include "ordering/etree.hpp"
@@ -297,6 +299,84 @@ TEST(OrderingApi, EvaluateOrderingIdentityMatchesDirect) {
   const auto counts = column_counts(a, elimination_tree(a));
   EXPECT_EQ(stats.factor_nnz, factor_nnz(counts));
 }
+
+// ------------------------------------------------------------------
+// compute_ordering renumbers ND and AMD in an etree postorder: the fill
+// is that of the raw ordering, and every subtree is a contiguous column
+// range (what relaxed amalgamation needs to merge chains).
+
+struct PostorderCase {
+  const char* matrix;
+  Method method;
+};
+
+CscMatrix postorder_case_matrix(const std::string& name) {
+  if (name == "flan") return sparse::flan_proxy(0.02);
+  if (name == "bones") return sparse::bones_proxy(0.02);
+  if (name == "thermal") return sparse::thermal_proxy(0.005);
+  return sparse::random_spd(400, 6.0, 17);
+}
+
+std::vector<idx_t> raw_ordering(const CscMatrix& a, Method method) {
+  const Graph g = build_graph(a);
+  return method == Method::kAmd ? amd(g) : nested_dissection(g);
+}
+
+class PostorderedOrdering : public ::testing::TestWithParam<PostorderCase> {};
+
+TEST_P(PostorderedOrdering, EverySubtreeIsAContiguousColumnRange) {
+  const auto a = postorder_case_matrix(GetParam().matrix);
+  const auto perm = compute_ordering(a, GetParam().method);
+  const auto parent = elimination_tree(sparse::permute_symmetric(a, perm));
+  // Subtree size and smallest member, accumulated child to parent
+  // (parent[j] > j). Subtree(j) holds size[j] distinct columns <= j, so
+  // it is the range [j - size[j] + 1, j] iff its minimum is that.
+  const idx_t n = a.n();
+  std::vector<idx_t> size(n, 1);
+  std::vector<idx_t> lowest(n);
+  for (idx_t j = 0; j < n; ++j) lowest[j] = j;
+  for (idx_t j = 0; j < n; ++j) {
+    if (parent[j] < 0) continue;
+    size[parent[j]] += size[j];
+    lowest[parent[j]] = std::min(lowest[parent[j]], lowest[j]);
+  }
+  for (idx_t j = 0; j < n; ++j) {
+    ASSERT_EQ(lowest[j], j - size[j] + 1) << "subtree of column " << j;
+  }
+}
+
+TEST_P(PostorderedOrdering, FillEqualsRawOrdering) {
+  const auto a = postorder_case_matrix(GetParam().matrix);
+  const auto post = evaluate_ordering(a, compute_ordering(a, GetParam().method));
+  const auto raw = evaluate_ordering(a, raw_ordering(a, GetParam().method));
+  EXPECT_EQ(post.factor_nnz, raw.factor_nnz);
+  EXPECT_EQ(post.flops, raw.flops);
+}
+
+TEST_P(PostorderedOrdering, GraphEtreeMatchesPermutedMatrixEtree) {
+  const auto a = postorder_case_matrix(GetParam().matrix);
+  const Graph g = build_graph(a);
+  for (const auto& perm : {raw_ordering(a, GetParam().method),
+                           compute_ordering(a, GetParam().method)}) {
+    EXPECT_EQ(elimination_tree(g, perm),
+              elimination_tree(sparse::permute_symmetric(a, perm)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ProxiesAndRandom, PostorderedOrdering,
+    ::testing::Values(PostorderCase{"flan", Method::kNestedDissection},
+                      PostorderCase{"bones", Method::kNestedDissection},
+                      PostorderCase{"thermal", Method::kNestedDissection},
+                      PostorderCase{"random", Method::kNestedDissection},
+                      PostorderCase{"flan", Method::kAmd},
+                      PostorderCase{"bones", Method::kAmd},
+                      PostorderCase{"thermal", Method::kAmd},
+                      PostorderCase{"random", Method::kAmd}),
+    [](const ::testing::TestParamInfo<PostorderCase>& info) {
+      return std::string(info.param.matrix) + "_" +
+             method_name(info.param.method);
+    });
 
 }  // namespace
 }  // namespace sympack::ordering

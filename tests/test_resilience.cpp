@@ -90,6 +90,8 @@ struct RunResult {
   pgas::FaultInjector::Counters injected;
   core::Report report;
   std::size_t device_bytes_left = 0;
+  /// Each rank's heartbeat count when factorize() returned.
+  std::vector<std::uint64_t> factor_heartbeats;
 };
 
 RunResult run_solver(const CscMatrix& a, int nranks, bool threaded,
@@ -101,10 +103,13 @@ RunResult run_solver(const CscMatrix& a, int nranks, bool threaded,
   core::SymPackSolver solver(rt, opts);
   solver.symbolic_factorize(a);
   solver.factorize();
+  RunResult r;
+  for (int rank = 0; rank < nranks; ++rank) {
+    r.factor_heartbeats.push_back(rt.rank(rank).heartbeat());
+  }
   const auto b = sparse::rhs_for_ones(a);
   const auto x = solver.solve(b);
 
-  RunResult r;
   r.residual = sparse::relative_residual(a, x, b);
   r.factor = solver.dense_factor();
   r.stats = rt.total_stats();
@@ -177,9 +182,10 @@ INSTANTIATE_TEST_SUITE_P(ProxiesVariantsSeeds, RankKill,
                          kill_name);
 
 // ------------------------------------------------------------------
-// Deterministic late kill: by epoch 200 the victim has published
-// panels, so recovery must restore real checkpointed data (not just
-// re-assemble everything from A).
+// Deterministic late kill: three quarters of the way through the
+// victim's fault-free factorization (counted in its heartbeats) it has
+// published panels, so recovery must restore real checkpointed data
+// (not just re-assemble everything from A).
 
 TEST(RankKillDeterministic, LateKillRestoresCheckpointedPanels) {
   const auto a = sparse::flan_proxy(0.02);
@@ -187,10 +193,13 @@ TEST(RankKillDeterministic, LateKillRestoresCheckpointedPanels) {
   const RunResult base =
       run_solver(a, 8, /*threaded=*/false, pgas::FaultConfig{}, opts);
 
+  constexpr int kVictim = 2;
+  const std::uint64_t victim_heartbeats = base.factor_heartbeats[kVictim];
+  ASSERT_GT(victim_heartbeats, 4u);
   pgas::FaultConfig faults;
   faults.enabled = true;
-  faults.kill_rank = 2;
-  faults.kill_event = 200;
+  faults.kill_rank = kVictim;
+  faults.kill_event = victim_heartbeats * 3 / 4;
   const RunResult r = run_solver(a, 8, /*threaded=*/false, faults, opts);
 
   EXPECT_LT(r.residual, 1e-10);

@@ -16,15 +16,19 @@
 //
 // Every pre-existing table pins the options it was captured on
 // explicitly (the legacy rendezvous transport unless a row says
-// otherwise), so a change of library defaults never moves those hashes;
-// the kGoldenDefault table pins the schedules a default-options run
-// produces.
+// otherwise), so a change of library defaults never moves those hashes.
+// All of them also pin the ordering and supernode partition they were
+// captured on (legacy_ordered: the raw nested-dissection permutation
+// and the old amalgamation thresholds). The kGoldenDefault table pins
+// the default transport on that ordering; kGoldenFullDefault pins what
+// a run with default SolverOptions produces end to end.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "core/solver.hpp"
 #include "core/trace.hpp"
@@ -98,8 +102,14 @@ std::uint64_t schedule_hash(const core::Tracer& tracer,
   return h;
 }
 
-std::uint64_t run_golden(const std::string& proxy,
-                         const core::SolverOptions& opts, bool faults,
+/// A golden row's input as it was captured: the proxy pre-ordered with
+/// the raw nested dissection (legacy_options.hpp) under `opts`.
+OrderedProblem legacy_problem(const std::string& proxy,
+                              core::SolverOptions opts) {
+  return legacy_ordered(proxy_matrix(proxy), std::move(opts));
+}
+
+std::uint64_t run_golden(const OrderedProblem& problem, bool faults,
                          pgas::CommStats* stats_out = nullptr) {
   pgas::Runtime::Config cfg;
   cfg.nranks = 8;
@@ -117,10 +127,10 @@ std::uint64_t run_golden(const std::string& proxy,
     cfg.faults.device_deny_rate = 0.05;
   }
   pgas::Runtime rt(cfg);
-  core::SymPackSolver solver(rt, opts);
+  core::SymPackSolver solver(rt, problem.opts);
   core::Tracer tracer;
   solver.set_tracer(&tracer);
-  solver.symbolic_factorize(proxy_matrix(proxy));
+  solver.symbolic_factorize(problem.a);
   solver.factorize();
   if (stats_out != nullptr) *stats_out = rt.total_stats();
   return schedule_hash(tracer, rt.total_stats());
@@ -182,7 +192,8 @@ TEST_P(GoldenSchedule, HashMatchesPreRefactorCapture) {
   if (comm_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_EAGER_BYTES/SYMPACK_COALESCE override active";
   }
-  const std::uint64_t h = run_golden(g.proxy, legacy_opts(g.policy), g.faults);
+  const std::uint64_t h =
+      run_golden(legacy_problem(g.proxy, legacy_opts(g.policy)), g.faults);
   EXPECT_EQ(h, g.hash) << "schedule drifted: proxy=" << g.proxy
                        << " policy=" << core::policy_name(g.policy)
                        << " faults=" << (g.faults ? "on" : "off")
@@ -207,7 +218,7 @@ INSTANTIATE_TEST_SUITE_P(All, GoldenSchedule, ::testing::ValuesIn(kGolden),
 TEST(GoldenScheduleTable, DISABLED_PrintTable) {
   for (const Golden& g : kGolden) {
     const std::uint64_t h =
-        run_golden(g.proxy, legacy_opts(g.policy), g.faults);
+        run_golden(legacy_problem(g.proxy, legacy_opts(g.policy)), g.faults);
     printf("    {\"%s\", core::Policy::k%s, %s, 0x%llxull},\n", g.proxy,
            g.policy == core::Policy::kFifo      ? "Fifo"
            : g.policy == core::Policy::kLifo    ? "Lifo"
@@ -254,8 +265,8 @@ TEST_P(GoldenEagerSchedule, HashMatchesCapture) {
     GTEST_SKIP() << "SYMPACK_EAGER_BYTES/SYMPACK_COALESCE override active";
   }
   pgas::CommStats stats;
-  const std::uint64_t h =
-      run_golden(g.proxy, eager_opts(g.policy), g.faults, &stats);
+  const std::uint64_t h = run_golden(
+      legacy_problem(g.proxy, eager_opts(g.policy)), g.faults, &stats);
   // The fast path actually engaged on every row.
   EXPECT_GT(stats.eager_sends, 0u);
   EXPECT_GT(stats.coalesced_signals, 0u);
@@ -269,7 +280,8 @@ INSTANTIATE_TEST_SUITE_P(Eager, GoldenEagerSchedule,
 
 TEST(GoldenScheduleTable, DISABLED_PrintEagerTable) {
   for (const Golden& g : kGoldenEager) {
-    const std::uint64_t h = run_golden(g.proxy, eager_opts(g.policy), g.faults);
+    const std::uint64_t h =
+        run_golden(legacy_problem(g.proxy, eager_opts(g.policy)), g.faults);
     printf("    {\"%s\", core::Policy::kFifo, %s, 0x%llxull},\n", g.proxy,
            g.faults ? "true" : "false", static_cast<unsigned long long>(h));
   }
@@ -302,8 +314,7 @@ std::uint64_t comm_stats_hash(const pgas::CommStats& stats) {
   return h;
 }
 
-std::uint64_t run_solve_golden(const std::string& proxy,
-                               const core::SolverOptions& opts, int nrhs,
+std::uint64_t run_solve_golden(const OrderedProblem& problem, int nrhs,
                                pgas::CommStats* stats_out = nullptr) {
   pgas::Runtime::Config cfg;
   cfg.nranks = 8;
@@ -311,8 +322,8 @@ std::uint64_t run_solve_golden(const std::string& proxy,
   cfg.gpus_per_node = 4;
   cfg.device_memory_bytes = 64 << 20;
   pgas::Runtime rt(cfg);
-  core::SymPackSolver solver(rt, opts);
-  const CscMatrix a = proxy_matrix(proxy);
+  core::SymPackSolver solver(rt, problem.opts);
+  const CscMatrix& a = problem.a;
   solver.symbolic_factorize(a);
   solver.factorize();
   rt.reset_stats();  // isolate the solve phase's counters
@@ -358,8 +369,8 @@ TEST_P(GoldenSolveSchedule, CommStatsMatchCapture) {
   if (comm_env_overridden() || solve_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_* comm/solve environment override active";
   }
-  const std::uint64_t h =
-      run_solve_golden(g.proxy, legacy_solve_opts(g.rhs_panel), g.nrhs);
+  const std::uint64_t h = run_solve_golden(
+      legacy_problem(g.proxy, legacy_solve_opts(g.rhs_panel)), g.nrhs);
   EXPECT_EQ(h, g.hash) << "solve schedule drifted: proxy=" << g.proxy
                        << " rhs_panel=" << g.rhs_panel << " nrhs=" << g.nrhs
                        << " actual=0x" << std::hex << h << "ull";
@@ -381,8 +392,8 @@ INSTANTIATE_TEST_SUITE_P(Solve, GoldenSolveSchedule,
 
 TEST(GoldenScheduleTable, DISABLED_PrintSolveTable) {
   for (const SolveGolden& g : kGoldenSolve) {
-    const std::uint64_t h =
-        run_solve_golden(g.proxy, legacy_solve_opts(g.rhs_panel), g.nrhs);
+    const std::uint64_t h = run_solve_golden(
+        legacy_problem(g.proxy, legacy_solve_opts(g.rhs_panel)), g.nrhs);
     printf("    {\"%s\", %d, %d, 0x%llxull},\n", g.proxy, g.rhs_panel,
            g.nrhs, static_cast<unsigned long long>(h));
   }
@@ -396,8 +407,9 @@ TEST(SolveSchedule, PanelSweepAmortizesMessages) {
     GTEST_SKIP() << "SYMPACK_* comm/solve environment override active";
   }
   pgas::CommStats per_vector, blocked;
-  run_solve_golden("flan", legacy_solve_opts(1), 8, &per_vector);
-  run_solve_golden("flan", legacy_solve_opts(8), 8, &blocked);
+  run_solve_golden({proxy_matrix("flan"), legacy_solve_opts(1)}, 8,
+                   &per_vector);
+  run_solve_golden({proxy_matrix("flan"), legacy_solve_opts(8)}, 8, &blocked);
   EXPECT_EQ(blocked.bytes_from_host, per_vector.bytes_from_host);
   // 8 columns per message instead of 1: signals and pulls collapse ~8x.
   EXPECT_LT(blocked.rpcs_sent * 4, per_vector.rpcs_sent);
@@ -408,26 +420,41 @@ TEST(SolveSchedule, PanelSweepAmortizesMessages) {
 // Default-options goldens: what a user who sets nothing gets (eager +
 // coalesced transport, one fused RHS panel). Factor rows hash the trace
 // plus CommStats like kGolden; solve rows hash the solve phase's
-// CommStats at nrhs = 4 like kGoldenSolve. Captured when these became
-// the defaults (sequential drive, 8 ranks, faults off); the factor
-// hashes equal the faults-off kGoldenEager rows because the defaults are
-// exactly that transport at fifo. Regenerate via
-// DISABLED_PrintDefaultTables — only for an intentional change of the
-// defaults or of the schedules they produce.
+// CommStats at nrhs = 4 like kGoldenSolve. kGoldenDefault was captured
+// when that transport became the default (sequential drive, 8 ranks,
+// faults off) and stays on the ordering it was captured on
+// (legacy_ordered); its factor hashes equal the faults-off kGoldenEager
+// rows because the defaults are exactly that transport at fifo.
+// kGoldenFullDefault runs the proxies with default SolverOptions as
+// they are, etree-postordered ordering and relax thresholds included.
+// Regenerate via DISABLED_PrintDefaultTables — only for an intentional
+// change of the defaults or of the schedules they produce.
 
 struct DefaultGolden {
   const char* proxy;
   std::uint64_t factor_hash;
   std::uint64_t solve_hash;  // nrhs = 4
+  bool legacy_order;         // factor legacy_ordered(proxy)
 };
 
 const DefaultGolden kGoldenDefault[] = {
-    {"flan", 0x34cf3f084429f975ull, 0xea5f34968d4966ccull},
-    {"bones", 0x4dc256fe6fa820full, 0x87986504f1a0eceull},
-    {"thermal", 0xd612a177306949a5ull, 0x8c83214083a98e5eull},
+    {"flan", 0x34cf3f084429f975ull, 0xea5f34968d4966ccull, true},
+    {"bones", 0x4dc256fe6fa820full, 0x87986504f1a0eceull, true},
+    {"thermal", 0xd612a177306949a5ull, 0x8c83214083a98e5eull, true},
+};
+
+const DefaultGolden kGoldenFullDefault[] = {
+    {"flan", 0x8f8609f7e086d750ull, 0xd84f3c14affdd27bull, false},
+    {"bones", 0xa971d2e1106a0cdaull, 0xc433908c9582d1b9ull, false},
+    {"thermal", 0x99f00a016c6d6437ull, 0xfd0f90195b424c84ull, false},
 };
 
 constexpr int kDefaultGoldenNrhs = 4;
+
+OrderedProblem default_problem(const DefaultGolden& g) {
+  return g.legacy_order ? legacy_problem(g.proxy, {})
+                        : OrderedProblem{proxy_matrix(g.proxy), {}};
+}
 
 class GoldenDefaultSchedule : public ::testing::TestWithParam<DefaultGolden> {
 };
@@ -439,7 +466,7 @@ TEST_P(GoldenDefaultSchedule, FactorHashMatchesCapture) {
   }
   pgas::CommStats stats;
   const std::uint64_t h =
-      run_golden(g.proxy, core::SolverOptions{}, /*faults=*/false, &stats);
+      run_golden(default_problem(g), /*faults=*/false, &stats);
   EXPECT_GT(stats.eager_sends, 0u);
   EXPECT_GT(stats.coalesced_signals, 0u);
   EXPECT_EQ(h, g.factor_hash) << "default schedule drifted: proxy=" << g.proxy
@@ -452,26 +479,34 @@ TEST_P(GoldenDefaultSchedule, SolveCommStatsMatchCapture) {
     GTEST_SKIP() << "SYMPACK_* comm/solve environment override active";
   }
   const std::uint64_t h =
-      run_solve_golden(g.proxy, core::SolverOptions{}, kDefaultGoldenNrhs);
+      run_solve_golden(default_problem(g), kDefaultGoldenNrhs);
   EXPECT_EQ(h, g.solve_hash) << "default solve drifted: proxy=" << g.proxy
                              << " actual=0x" << std::hex << h << "ull";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Default, GoldenDefaultSchedule, ::testing::ValuesIn(kGoldenDefault),
-    [](const ::testing::TestParamInfo<DefaultGolden>& info) {
-      return std::string(info.param.proxy);
-    });
+std::string default_golden_name(
+    const ::testing::TestParamInfo<DefaultGolden>& info) {
+  return info.param.proxy;
+}
+
+INSTANTIATE_TEST_SUITE_P(Default, GoldenDefaultSchedule,
+                         ::testing::ValuesIn(kGoldenDefault),
+                         default_golden_name);
+INSTANTIATE_TEST_SUITE_P(FullDefault, GoldenDefaultSchedule,
+                         ::testing::ValuesIn(kGoldenFullDefault),
+                         default_golden_name);
 
 TEST(GoldenScheduleTable, DISABLED_PrintDefaultTables) {
-  for (const DefaultGolden& g : kGoldenDefault) {
-    const core::SolverOptions opts;
-    printf("    {\"%s\", 0x%llxull, 0x%llxull},\n", g.proxy,
+  const auto print = [](const DefaultGolden& g) {
+    printf("    {\"%s\", 0x%llxull, 0x%llxull, %s},\n", g.proxy,
            static_cast<unsigned long long>(
-               run_golden(g.proxy, opts, /*faults=*/false)),
+               run_golden(default_problem(g), /*faults=*/false)),
            static_cast<unsigned long long>(
-               run_solve_golden(g.proxy, opts, kDefaultGoldenNrhs)));
-  }
+               run_solve_golden(default_problem(g), kDefaultGoldenNrhs)),
+           g.legacy_order ? "true" : "false");
+  };
+  for (const DefaultGolden& g : kGoldenDefault) print(g);
+  for (const DefaultGolden& g : kGoldenFullDefault) print(g);
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 // helpers, and symmetric permutation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sparse/coo.hpp"
 #include "sparse/csc.hpp"
@@ -160,6 +164,72 @@ TEST(MatrixMarket, ReadsGeneralSymmetricInput) {
   EXPECT_EQ(a.n(), 2);
   EXPECT_DOUBLE_EQ(a.at(1, 0), -1.0);
   EXPECT_EQ(a.nnz_stored(), 3);
+}
+
+std::string mm_error(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    (void)read_matrix_market(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MatrixMarket, RejectsNonsymmetricGeneralInput) {
+  // A 3x3 general matrix with a full diagonal plus `offdiag`.
+  const auto general = [](const std::vector<std::string>& offdiag) {
+    std::string text = "%%MatrixMarket matrix coordinate real general\n3 3 " +
+                       std::to_string(3 + offdiag.size()) +
+                       "\n1 1 2.0\n2 2 2.0\n3 3 2.0\n";
+    for (const auto& e : offdiag) text += e + "\n";
+    return text;
+  };
+  ASSERT_EQ(mm_error(general({"2 1 -1.0", "1 2 -1.0"})), "");
+  // Mismatched values, named by the lower entry of the pair.
+  EXPECT_NE(mm_error(general({"2 1 -1.0", "1 2 -0.5"})).find("(2, 1)"),
+            std::string::npos);
+  // A lower entry without its mirror...
+  EXPECT_NE(mm_error(general({"2 1 -1.0", "1 2 -1.0", "3 1 -1.0"}))
+                .find("(3, 1) has no equal entry (1, 3)"),
+            std::string::npos);
+  // ...and an upper entry without its mirror.
+  EXPECT_NE(mm_error(general({"2 1 -1.0", "1 2 -1.0", "2 3 -1.0"}))
+                .find("(2, 3) has no equal entry (3, 2)"),
+            std::string::npos);
+  // A general pattern matrix is checked for structural symmetry.
+  EXPECT_NE(mm_error("%%MatrixMarket matrix coordinate pattern general\n"
+                     "2 2 3\n1 1\n2 2\n2 1\n")
+                .find("(2, 1)"),
+            std::string::npos);
+}
+
+TEST(MatrixMarket, RejectsNonFiniteValues) {
+  for (const char* bad : {"nan", "inf", "-inf", "1e999"}) {
+    const std::string msg =
+        mm_error(std::string("%%MatrixMarket matrix coordinate real "
+                             "symmetric\n2 2 2\n1 1 2.0\n2 1 ") +
+                 bad + "\n");
+    EXPECT_NE(msg.find("non-finite"), std::string::npos) << bad;
+    EXPECT_NE(msg.find("(2, 1)"), std::string::npos) << bad;
+  }
+  EXPECT_NE(mm_error("%%MatrixMarket matrix coordinate real symmetric\n"
+                     "1 1 1\n1 1 2.0x\n")
+                .find("malformed value"),
+            std::string::npos);
+}
+
+TEST(MatrixMarket, RejectsEntryOutsideTheMatrix) {
+  // An upper entry of a general matrix is range-checked too, although
+  // only its lower mirror is stored.
+  for (const char* bad : {"3 1 1.0", "1 3 1.0", "0 1 1.0", "1 -2 1.0"}) {
+    EXPECT_NE(mm_error(std::string("%%MatrixMarket matrix coordinate real "
+                                   "general\n2 2 2\n1 1 2.0\n") +
+                       bad + "\n")
+                  .find("outside the matrix"),
+              std::string::npos)
+        << bad;
+  }
 }
 
 TEST(MatrixMarket, ReadsPattern) {
@@ -355,6 +425,50 @@ TEST(Permute, SymmetricPermutePreservesValues) {
   for (idx_t jn = 0; jn < a.n(); ++jn) {
     for (idx_t in = jn; in < a.n(); ++in) {
       EXPECT_DOUBLE_EQ(b.at(in, jn), a.at(perm[in], perm[jn]));
+    }
+  }
+}
+
+// The route permute_symmetric took before its count-and-scatter rewrite:
+// every permuted entry through CooBuilder's global sort.
+CscMatrix permute_via_coo(const CscMatrix& a, const std::vector<idx_t>& perm) {
+  const auto iperm = invert_permutation(perm);
+  CooBuilder builder(a.n());
+  for (idx_t j = 0; j < a.n(); ++j) {
+    for (idx_t p = a.colptr()[j]; p < a.colptr()[j + 1]; ++p) {
+      builder.add(iperm[a.rowind()[p]], iperm[j], a.values()[p]);
+    }
+  }
+  return builder.build();
+}
+
+TEST(Permute, SymmetricPermuteMatchesCooPathBitwise) {
+  const CscMatrix matrices[] = {
+      grid2d_laplacian(9, 7),    grid3d_laplacian(5, 4, 3),
+      elasticity3d(3, 3, 2),     thermal_irregular(12, 10, 0.3, 5),
+      random_spd(150, 6.0, 11),  tridiagonal(40),
+      arrow(30),                 dense_spd(12, 3),
+      flan_proxy(0.02),          bones_proxy(0.02),
+      thermal_proxy(0.005),
+  };
+  support::Xoshiro256 rng(2024);
+  for (const CscMatrix& a : matrices) {
+    auto shuffled = identity_permutation(a.n());
+    for (idx_t k = a.n() - 1; k > 0; --k) {
+      std::swap(shuffled[k], shuffled[rng.next_below(k + 1)]);
+    }
+    auto reversed = identity_permutation(a.n());
+    std::reverse(reversed.begin(), reversed.end());
+    for (const auto& perm :
+         {identity_permutation(a.n()), reversed, shuffled}) {
+      const CscMatrix fast = permute_symmetric(a, perm);
+      const CscMatrix ref = permute_via_coo(a, perm);
+      EXPECT_EQ(fast.colptr(), ref.colptr());
+      EXPECT_EQ(fast.rowind(), ref.rowind());
+      ASSERT_EQ(fast.values().size(), ref.values().size());
+      EXPECT_EQ(std::memcmp(fast.values().data(), ref.values().data(),
+                            fast.values().size() * sizeof(double)),
+                0);
     }
   }
 }

@@ -9,6 +9,8 @@
 #include <set>
 
 #include "ordering/etree.hpp"
+#include "ordering/graph.hpp"
+#include "ordering/nd.hpp"
 #include "ordering/ordering.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permute.hpp"
@@ -79,6 +81,20 @@ TEST(Supernodes, AmalgamationAddsBoundedPadding) {
   const auto nnz1 = analyze_matrix(a, amal).factor_nnz();
   EXPECT_GE(nnz1, nnz0);          // padding only adds entries
   EXPECT_LT(nnz1, 3 * nnz0);      // ... but not unboundedly
+}
+
+// The etree postorder compute_ordering applies puts every chain next to
+// its parent, so amalgamation finds merges the raw ND order hides.
+TEST(Supernodes, PostorderedOrderingMergesMoreChains) {
+  const auto a = sparse::thermal_proxy(0.005);
+  const auto raw = sparse::permute_symmetric(
+      a, ordering::nested_dissection(ordering::build_graph(a)));
+  const auto post = ordered(a);
+  const auto sym_raw = analyze_matrix(raw);
+  const auto sym_post = analyze_matrix(post);
+  sym_raw.validate(raw);
+  sym_post.validate(post);
+  EXPECT_LT(sym_post.num_snodes(), sym_raw.num_snodes());
 }
 
 TEST(Supernodes, MaxWidthSplitsPanels) {

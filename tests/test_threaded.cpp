@@ -39,7 +39,7 @@ namespace sympack::core {
 struct FactorEngineTestPeer {
   static void inject_signal(FactorEngine& e, pgas::Rank& rank,
                             sparse::idx_t k, symbolic::BlockSlot slot) {
-    e.handle_signal(rank, FactorEngine::Signal{k, slot});
+    e.handle_signal(rank, FactorEngine::Signal{k, slot, 0, nullptr});
   }
   static std::size_t cache_entries(const FactorEngine& e, int rank) {
     return e.per_rank_[rank].cache.size();
