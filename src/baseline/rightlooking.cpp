@@ -90,7 +90,13 @@ struct RightLookingSolver::Engine {
 
   pgas::Step step(pgas::Rank& rank) {
     PerRank& pr = per_rank[rank.id()];
-    int worked = rank.progress();
+    // Same progress rule as the fan-out engines: RPCs arriving after the
+    // next task (updates first) can start stay parked while it runs.
+    const double horizon =
+        !pr.update_tasks.empty()   ? pr.update_tasks.front().ready
+        : !pr.factor_tasks.empty() ? panel_ready[pr.factor_tasks.front()]
+                                   : pgas::Rank::kIdle;
+    int worked = rank.progress(horizon);
     if (!pr.msgs.empty()) {
       std::vector<PanelMsg> msgs;
       msgs.swap(pr.msgs);
@@ -363,7 +369,8 @@ struct RightLookingSolver::SolveState {
 
   pgas::Step step(pgas::Rank& rank) {
     PerRank& pr = per_rank[rank.id()];
-    int worked = rank.progress();
+    int worked = rank.progress(pr.tasks.empty() ? pgas::Rank::kIdle
+                                                : seg_ready[pr.tasks.front()]);
     if (!pr.msgs.empty()) {
       std::vector<Msg> msgs;
       msgs.swap(pr.msgs);

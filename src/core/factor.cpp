@@ -133,7 +133,8 @@ void FactorEngine::publish_restored() {
 
 pgas::Step FactorEngine::step(pgas::Rank& rank) {
   PerRank& pr = per_rank_[rank.id()];
-  int worked = rank.progress();
+  int worked = rank.progress(pr.rtq.empty() ? pgas::Rank::kIdle
+                                            : pr.rtq.next_ready());
   // A killed rank stops participating: it holds no runnable state (die()
   // dropped its inbox) and must not touch the protocol again until the
   // recovery loop resurrects it.

@@ -166,7 +166,8 @@ void FanInEngine::run() {
 
 pgas::Step FanInEngine::step(pgas::Rank& rank) {
   PerRank& pr = per_rank_[rank.id()];
-  int worked = rank.progress();
+  int worked = rank.progress(pr.rtq.empty() ? pgas::Rank::kIdle
+                                            : pr.rtq.next_ready());
   // A killed rank stops participating until the recovery loop
   // resurrects it (same contract as the fan-out engine).
   if (net_.recovery() && !rank.alive()) return pgas::Step::kIdle;

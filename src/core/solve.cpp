@@ -162,7 +162,8 @@ void SolveEngine::drive_phase() {
 pgas::Step SolveEngine::step(pgas::Rank& rank, bool backward) {
   const int me = rank.id();
   PerRank& pr = per_rank_[me];
-  int worked = rank.progress();
+  int worked = rank.progress(pr.tasks.empty() ? pgas::Rank::kIdle
+                                              : pr.tasks.next_ready());
   // A killed rank stops participating; the solve recovery path restores
   // its factor panels from the buddy checkpoints and re-runs the sweep.
   if (net_.recovery() && !rank.alive()) return pgas::Step::kIdle;

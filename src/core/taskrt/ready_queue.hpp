@@ -81,6 +81,15 @@ class ReadyQueue {
     return t;
   }
 
+  /// The `ready` time of the task pop() would return: the horizon the
+  /// engines hand Rank::progress(), so RPCs arriving later stay parked
+  /// while that task runs. Precondition: !empty().
+  [[nodiscard]] double next_ready() const {
+    // LIFO pops the back; FIFO the front; the heap policies their top,
+    // which std::push_heap keeps at the front.
+    return (policy_ == Policy::kLifo ? q_.back() : q_.front()).task.ready;
+  }
+
   /// Drop everything (solve phases reuse one queue across sweeps).
   void clear() {
     q_.clear();

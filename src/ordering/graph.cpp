@@ -37,9 +37,14 @@ Graph build_graph(const sparse::CscMatrix& a) {
 }
 
 Graph induced_subgraph(const Graph& g, const std::vector<idx_t>& vertices) {
+  std::vector<idx_t> local(g.n, -1);
+  return induced_subgraph(g, vertices, local);
+}
+
+Graph induced_subgraph(const Graph& g, const std::vector<idx_t>& vertices,
+                       std::vector<idx_t>& local) {
   Graph sub;
   sub.n = static_cast<idx_t>(vertices.size());
-  std::vector<idx_t> local(g.n, -1);
   for (idx_t k = 0; k < sub.n; ++k) local[vertices[k]] = k;
 
   sub.adjptr.assign(sub.n + 1, 0);
@@ -60,6 +65,7 @@ Graph induced_subgraph(const Graph& g, const std::vector<idx_t>& vertices) {
       if (lu >= 0) sub.adjind[cur++] = lu;
     }
   }
+  for (idx_t v : vertices) local[v] = -1;
   return sub;
 }
 
@@ -90,25 +96,32 @@ std::vector<idx_t> bfs_levels(const Graph& g, idx_t root,
 }
 
 idx_t pseudo_peripheral(const Graph& g, idx_t start) {
+  std::vector<idx_t> levels;
+  return pseudo_peripheral(g, start, levels);
+}
+
+idx_t pseudo_peripheral(const Graph& g, idx_t start,
+                        std::vector<idx_t>& levels) {
   idx_t root = start;
   idx_t last_ecc = -1;
   // Iterate: BFS, move to a minimum-degree vertex in the deepest level.
   for (int iter = 0; iter < 8; ++iter) {
-    const auto level = bfs_levels(g, root);
+    levels = bfs_levels(g, root);
     idx_t ecc = 0;
-    for (idx_t v = 0; v < g.n; ++v) ecc = std::max(ecc, level[v]);
-    if (ecc <= last_ecc) break;
+    for (idx_t v = 0; v < g.n; ++v) ecc = std::max(ecc, levels[v]);
+    if (ecc <= last_ecc) return root;  // `levels` is root's BFS
     last_ecc = ecc;
     idx_t best = root;
     idx_t best_deg = g.n + 1;
     for (idx_t v = 0; v < g.n; ++v) {
-      if (level[v] == ecc && g.degree(v) < best_deg) {
+      if (levels[v] == ecc && g.degree(v) < best_deg) {
         best = v;
         best_deg = g.degree(v);
       }
     }
     root = best;
   }
+  levels = bfs_levels(g, root);
   return root;
 }
 

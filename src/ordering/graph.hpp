@@ -30,6 +30,12 @@ Graph build_graph(const sparse::CscMatrix& a);
 /// with local ids 0..k-1 in the order given; `vertices` acts as the
 /// local-to-global map.
 Graph induced_subgraph(const Graph& g, const std::vector<idx_t>& vertices);
+/// Same, with the caller's global-to-local map: `local` has g.n entries,
+/// all -1 on entry, and is -1 again on return (only the entries of
+/// `vertices` are touched), so recursive callers reuse one map instead
+/// of allocating a g.n-sized one per call.
+Graph induced_subgraph(const Graph& g, const std::vector<idx_t>& vertices,
+                       std::vector<idx_t>& local);
 
 /// BFS levels from a root within the whole graph. Returns the level of
 /// each vertex (-1 if unreachable) and fills `order` with visit order.
@@ -39,6 +45,10 @@ std::vector<idx_t> bfs_levels(const Graph& g, idx_t root,
 /// Pseudo-peripheral vertex found by repeated BFS (the standard
 /// George-Liu heuristic used by both RCM and nested dissection).
 idx_t pseudo_peripheral(const Graph& g, idx_t start);
+/// Same, also returning bfs_levels(g, root) of the returned root in
+/// `levels` (the search's last BFS when it ran from that root).
+idx_t pseudo_peripheral(const Graph& g, idx_t start,
+                        std::vector<idx_t>& levels);
 
 /// Connected components; returns component id per vertex and the count.
 std::pair<std::vector<idx_t>, idx_t> connected_components(const Graph& g);

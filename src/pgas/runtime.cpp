@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <exception>
 #include <sstream>
@@ -137,6 +138,14 @@ void Rank::rpc(int target, std::function<void(Rank&)> fn,
   if (plan.reorder && !t.inbox_.empty()) {
     const std::size_t pos =
         plan.reorder_slot % (t.inbox_.size() + 1);
+    if (pos < t.inbox_.size() &&
+        runtime_->config().progress == Progress::kArrival) {
+      // Arrival order decides execution order: the moved entry takes the
+      // arrival of the entry it jumps ahead of (and, parked right before
+      // it, runs first), or its inbox position would change nothing.
+      entry.arrival = t.inbox_[pos].arrival;
+      if (entry.held_until > 0.0) entry.held_until = entry.arrival;
+    }
     t.inbox_.insert(t.inbox_.begin() + static_cast<std::ptrdiff_t>(pos),
                     std::move(entry));
   } else {
@@ -208,8 +217,10 @@ void Rank::die() {
   std::lock_guard<std::mutex> lock(inbox_mutex_);
   alive_ = false;
   // A dead process takes its in-flight state with it: pending inbox
-  // entries and parked coalescing batches are gone, not deferred.
+  // entries, parked arrivals and coalescing batches are gone, not
+  // deferred.
   inbox_.clear();
+  clear_parked();
   for (auto& ob : outboxes_) {
     ob.fns.clear();
     ob.payload_bytes = 0;
@@ -225,7 +236,7 @@ void Rank::resurrect(double clock_floor) {
   merge_clock(clock_floor);
 }
 
-int Rank::progress() {
+int Rank::progress(double horizon) {
   // Age out coalescing outboxes first: a batch parked for
   // coalesce_defer progress calls stops waiting for more riders.
   ++progress_epoch_;
@@ -249,12 +260,32 @@ int Rank::progress() {
       }
     }
   }
+  const int executed = runtime_->config().progress == Progress::kDrainAll
+                           ? drain_inbox()
+                           : run_arrived(horizon);
+  return executed + flushed;
+}
+
+void Rank::execute(InboxEntry& entry) {
+  // The callback cannot run before the RPC arrived.
+  merge_clock(entry.arrival);
+  advance(runtime_->model().rpc_overhead_s * 0.5);  // execution cost
+  // Eager-inlined payload bytes are charged here, on the receiver: the
+  // wire carried them whether or not the consumer keeps them (so
+  // injected duplicates and ledger retransmits recount — honest wire
+  // volume). 0 for every plain signal.
+  stats_.bytes_from_host += entry.payload_bytes;
+  entry.fn(*this);
+  ++stats_.rpcs_executed;
+}
+
+int Rank::drain_inbox() {
   std::vector<InboxEntry> drained;
   {
     std::lock_guard<std::mutex> lock(inbox_mutex_);
     drained.swap(inbox_);
   }
-  if (drained.empty()) return flushed;
+  if (drained.empty()) return 0;
   int executed = 0;
   std::vector<InboxEntry> held;
   auto run_batch = [&](std::vector<InboxEntry>& batch) {
@@ -268,16 +299,7 @@ int Rank::progress() {
         held.push_back(std::move(entry));
         continue;
       }
-      // The callback cannot run before the RPC arrived.
-      merge_clock(entry.arrival);
-      advance(runtime_->model().rpc_overhead_s * 0.5);  // execution cost
-      // Eager-inlined payload bytes are charged here, on the receiver:
-      // the wire carried them whether or not the consumer keeps them
-      // (so injected duplicates and ledger retransmits recount — honest
-      // wire volume). 0 for every plain signal.
-      stats_.bytes_from_host += entry.payload_bytes;
-      entry.fn(*this);
-      ++stats_.rpcs_executed;
+      execute(entry);
       ++executed;
     }
     batch.clear();
@@ -301,17 +323,88 @@ int Rank::progress() {
     inbox_.insert(inbox_.begin(), std::make_move_iterator(held.begin()),
                   std::make_move_iterator(held.end()));
   }
-  return executed + flushed;
+  return executed;
+}
+
+bool Rank::arrives_later(const InboxEntry& a, const InboxEntry& b) {
+  if (a.arrival != b.arrival) return a.arrival > b.arrival;
+  return a.seq > b.seq;
+}
+
+Rank::InboxEntry Rank::pop_parked() {
+  std::pop_heap(parked_.begin(), parked_.end(), arrives_later);
+  InboxEntry entry = std::move(parked_.back());
+  parked_.pop_back();
+  if (entry.held_until > 0.0) --held_parked_;
+  return entry;
+}
+
+void Rank::clear_parked() {
+  parked_.clear();
+  held_parked_ = 0;
+  parked_count_.store(0);
+}
+
+int Rank::run_arrived(double horizon) {
+  std::vector<InboxEntry> drained;
+  {
+    std::lock_guard<std::mutex> lock(inbox_mutex_);
+    drained.swap(inbox_);
+  }
+  for (auto& entry : drained) {
+    entry.seq = park_seq_++;
+    if (entry.held_until > 0.0) ++held_parked_;
+    parked_.push_back(std::move(entry));
+    std::push_heap(parked_.begin(), parked_.end(), arrives_later);
+  }
+  if (parked_.empty()) return 0;
+  int executed = 0;
+  // Everything that arrives before the caller's next task can start runs
+  // first, in arrival order; later arrivals stay parked while it runs.
+  const double limit = std::max(clock_, horizon);
+  std::vector<InboxEntry> held;
+  while (!parked_.empty() && parked_.front().arrival <= limit) {
+    InboxEntry entry = pop_parked();
+    if (entry.held_until > clock_) {
+      // An injected delay holds its entry until the clock itself catches
+      // up (a pending task's start does not release it).
+      held.push_back(std::move(entry));
+      continue;
+    }
+    execute(entry);
+    ++executed;
+  }
+  for (auto& entry : held) {
+    ++held_parked_;
+    parked_.push_back(std::move(entry));
+    std::push_heap(parked_.begin(), parked_.end(), arrives_later);
+  }
+  // Fault-free runs hold nothing, so this stays 0 there.
+  stats_.rpcs_deferred += held_parked_;
+  if (executed == 0 && !parked_.empty() && !std::isfinite(horizon)) {
+    // Idle (kIdle) or draining (progress()) with nothing admitted: wait
+    // for the earliest arrival, not for everything in flight.
+    const double earliest = parked_.front().arrival;
+    merge_clock(earliest);
+    while (!parked_.empty() && parked_.front().arrival <= earliest) {
+      InboxEntry entry = pop_parked();
+      execute(entry);
+      ++executed;
+    }
+  }
+  parked_count_.store(parked_.size());
+  return executed;
 }
 
 bool Rank::has_pending_rpcs() const {
+  if (parked_count_.load() > 0) return true;
   std::lock_guard<std::mutex> lock(inbox_mutex_);
   return !inbox_.empty();
 }
 
 std::size_t Rank::pending_rpc_count() const {
   std::lock_guard<std::mutex> lock(inbox_mutex_);
-  return inbox_.size();
+  return inbox_.size() + parked_count_.load();
 }
 
 double Rank::transfer_completion(std::size_t bytes, int peer,
@@ -532,6 +625,7 @@ void Runtime::purge_inboxes() {
       std::lock_guard<std::mutex> lock(r->inbox_mutex_);
       r->inbox_.clear();
     }
+    r->clear_parked();
     // Coalescing outboxes hold the same kind of stale lambdas (they
     // capture the finished phase's engine); drop them too. Rank-local
     // state, but drive() has joined/finished all stepping here.

@@ -12,6 +12,21 @@
 //     equivalent RMA transfer, including the memory-kinds path
 //     (native GDR vs host-staged) for device buffers.
 //
+// Progress follows arrival order (Config::progress = kArrival, the
+// default). progress(horizon) parks every drained RPC in a per-rank
+// min-heap keyed by (arrival, enqueue sequence) and runs, in that order,
+// only the entries that have arrived by max(now(), horizon) — the time
+// the caller's next ready task can start. A rank with a ready task
+// therefore runs it while later RPCs are still in flight (paper §3.4:
+// the RTQ keeps executing while signals and gets are outstanding)
+// instead of warping its clock to them first. An idle caller
+// (horizon = kIdle) with nothing arrived advances only to the earliest
+// parked arrival. No RPC runs before its arrival and each rank still
+// runs one thing at a time, so the makespan is a schedule a real machine
+// could produce. kDrainAll keeps the historical body (drain the whole
+// inbox in enqueue order, merging the clock to every arrival) for the
+// golden schedules captured on it.
+//
 // Execution is driven by Runtime::drive(step): the step function is the
 // body of the solver's "while (!done) { poll(); run a ready task; }"
 // loop. The default driver steps ranks round-robin on one thread
@@ -27,13 +42,15 @@
 // model"): the runtime itself guards every piece of genuinely shared
 // state with a mutex (per-rank RPC inboxes, NIC channels, device-segment
 // accounting, the allocation registry). Everything else — a rank's
-// clock, its CommStats — is single-writer: only the thread driving that
-// rank touches it, and cross-rank visibility is established by the
-// inbox-mutex release/acquire pair on RPC delivery.
+// clock, its CommStats, its parked RPCs — is single-writer: only the
+// thread driving that rank touches it, and cross-rank visibility is
+// established by the inbox-mutex release/acquire pair on RPC delivery.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -215,16 +232,33 @@ class Rank {
   /// rpc_coalesced to it will batch — used for trace marks).
   [[nodiscard]] bool has_unflushed_signals_to(int target) const;
 
-  /// Drain the RPC inbox (Fig. 4 step 3), first flushing any coalescing
-  /// outbox that has aged past the defer window. Returns the number of
-  /// RPCs executed plus batches flushed (both are forward progress).
-  int progress();
+  /// progress() horizon of a caller with no ready task: if nothing has
+  /// arrived by now(), the rank waits for the earliest RPC.
+  static constexpr double kIdle = -std::numeric_limits<double>::infinity();
 
-  /// True if RPCs are waiting in this rank's inbox.
+  /// Run arrived RPCs (Fig. 4 step 3), first flushing any coalescing
+  /// outbox that has aged past the defer window. `horizon` is the
+  /// simulated time the caller's next ready task can start, or kIdle.
+  /// Under Config::progress = kArrival, drained entries park in arrival
+  /// order and those that arrive by max(now(), horizon) run; if none ran
+  /// and the caller is idle, the clock advances to the earliest parked
+  /// arrival and the entries arriving then run. An entry held by an
+  /// injected delay waits for the clock itself (or that idle advance).
+  /// Under kDrainAll the horizon is ignored and the whole inbox runs.
+  /// Returns the number of RPCs executed plus batches flushed (both are
+  /// forward progress).
+  int progress(double horizon);
+  /// Run everything pending, in arrival order (delay-held entries still
+  /// wait for the clock): direct callers, finished ranks serving their
+  /// inbox, and unit tests.
+  int progress() { return progress(std::numeric_limits<double>::infinity()); }
+
+  /// True if RPCs are waiting in this rank's inbox or parked for a
+  /// later arrival.
   [[nodiscard]] bool has_pending_rpcs() const;
 
-  /// Number of RPCs waiting in this rank's inbox (diagnostics / the
-  /// deadlock-watchdog dump).
+  /// Number of RPCs waiting in this rank's inbox or parked (diagnostics
+  /// / the deadlock-watchdog dump, which reads it from another thread).
   [[nodiscard]] std::size_t pending_rpc_count() const;
 
   /// Simulated completion time of a one-sided transfer of `bytes`
@@ -267,6 +301,9 @@ class Rank {
     /// plain signal.
     std::size_t payload_bytes = 0;
     std::function<void(Rank&)> fn;
+    /// Enqueue order, stamped when progress() parks the entry: breaks
+    /// arrival ties in inbox order.
+    std::uint64_t seq = 0;
   };
 
   /// Per-destination coalescing buffer. Rank-local single-writer state:
@@ -279,6 +316,18 @@ class Rank {
   };
 
   void flush_outbox(int target);
+  /// Execute one entry: merge the clock to its arrival, charge the
+  /// receive overhead and inlined bytes, run the callback.
+  void execute(InboxEntry& entry);
+  /// Config::progress = kDrainAll body of progress().
+  int drain_inbox();
+  /// Config::progress = kArrival body of progress(horizon).
+  int run_arrived(double horizon);
+  /// Heap order of parked_: true if `a` runs after `b`.
+  static bool arrives_later(const InboxEntry& a, const InboxEntry& b);
+  /// Pop the earliest parked entry (heap order).
+  InboxEntry pop_parked();
+  void clear_parked();
 
   int id_ = -1;
   Runtime* runtime_ = nullptr;
@@ -289,9 +338,25 @@ class Rank {
   CommStats stats_;
   mutable std::mutex inbox_mutex_;
   std::vector<InboxEntry> inbox_;
+  // Drained entries waiting for their arrival (kArrival): a min-heap on
+  // (arrival, seq). Rank-local single-writer state like the outboxes;
+  // parked_count_ mirrors its size for cross-thread readers
+  // (pending_rpc_count from the watchdog), held_parked_ counts the
+  // delay-held entries among them.
+  std::vector<InboxEntry> parked_;
+  std::atomic<std::size_t> parked_count_{0};
+  std::size_t held_parked_ = 0;
+  std::uint64_t park_seq_ = 0;
   std::vector<Outbox> outboxes_;  // sized lazily on first rpc_coalesced
   int open_outboxes_ = 0;         // outboxes with fns non-empty
   std::uint64_t progress_epoch_ = 0;
+};
+
+/// How Rank::progress() orders and admits inbox entries (see the file
+/// header).
+enum class Progress {
+  kArrival,   // park drained RPCs; run those arrived by the caller's horizon
+  kDrainAll,  // historical: run the whole inbox in enqueue order
 };
 
 /// Result of one step of a driven loop.
@@ -342,6 +407,10 @@ class Runtime {
     /// work, which bounds latency and guarantees termination). Only
     /// consulted when rpc_coalesced is used at all.
     int coalesce_defer = 4;
+    /// Inbox admission rule of Rank::progress() (see the file header).
+    /// kDrainAll reproduces the schedules captured before arrival-ordered
+    /// progress existed.
+    Progress progress = Progress::kArrival;
   };
 
   explicit Runtime(Config config);

@@ -7,7 +7,8 @@
 // Likewise the ordering and supernode partition those hashes were
 // captured on: the raw nested-dissection permutation (before
 // compute_ordering renumbered it in an etree postorder) and the old
-// relaxed-amalgamation thresholds.
+// relaxed-amalgamation thresholds; and the inbox rule they ran under
+// (progress() draining the whole inbox before any ready task runs).
 #pragma once
 
 #include <utility>
@@ -15,9 +16,15 @@
 #include "core/options.hpp"
 #include "ordering/graph.hpp"
 #include "ordering/nd.hpp"
+#include "pgas/runtime.hpp"
 #include "sparse/permute.hpp"
 
 namespace sympack {
+
+/// The progress rule every schedule captured before arrival-ordered
+/// progress ran under: drain the whole inbox in enqueue order, merging
+/// the clock to each arrival.
+inline constexpr pgas::Progress kLegacyProgress = pgas::Progress::kDrainAll;
 
 /// Pure rendezvous (paper Fig. 4): no eager inlining, no coalescing.
 inline core::CommOptions legacy_comm() {

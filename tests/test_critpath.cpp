@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -31,6 +32,7 @@
 #include "core/critpath.hpp"
 #include "core/solver.hpp"
 #include "core/taskrt/dep_tracker.hpp"
+#include "core/taskrt/ready_queue.hpp"
 #include "core/trace.hpp"
 #include "ordering/ordering.hpp"
 #include "sparse/generators.hpp"
@@ -126,6 +128,29 @@ TEST(JsonReport, NonFiniteRendersAsNull) {
   EXPECT_EQ(doc.find(": nan"), std::string::npos) << doc;
   EXPECT_EQ(doc.find(": inf"), std::string::npos) << doc;
   EXPECT_EQ(doc.find(": -inf"), std::string::npos) << doc;
+}
+
+// ---------------------------------------------------------------------
+// ReadyQueue::next_ready: the ready time of the task pop() returns, the
+// horizon the engines hand Rank::progress().
+
+TEST(ReadyQueue, NextReadyIsThePoppedTasksReadyTime) {
+  struct Task {
+    int id;
+    double ready;
+  };
+  for (const core::Policy policy :
+       {core::Policy::kFifo, core::Policy::kLifo, core::Policy::kPriority,
+        core::Policy::kCriticalPath}) {
+    core::taskrt::ReadyQueue<Task> q(policy);
+    const double ready[] = {0.5, 0.1, 0.9, 0.3, 0.7};
+    const std::int64_t prio[] = {2, 5, 1, 5, 3};
+    for (int i = 0; i < 5; ++i) q.push(Task{i, ready[i]}, prio[i]);
+    while (!q.empty()) {
+      const double expect = q.next_ready();
+      EXPECT_EQ(q.pop().ready, expect) << core::policy_name(policy);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,29 @@ TEST(Graph, InducedSubgraph) {
   EXPECT_EQ(sub.n, 3);
   EXPECT_EQ(sub.edges(), 2);
   EXPECT_EQ(sub.degree(1), 2);
+}
+
+TEST(Graph, InducedSubgraphScratchMapIsResetAndMatches) {
+  const auto a = sparse::grid2d_laplacian(4, 4);
+  const Graph g = build_graph(a);
+  const std::vector<idx_t> vertices = {5, 1, 6, 9, 10, 2};
+  std::vector<idx_t> local(g.n, -1);
+  const Graph with_map = induced_subgraph(g, vertices, local);
+  const Graph fresh = induced_subgraph(g, vertices);
+  EXPECT_EQ(with_map.adjptr, fresh.adjptr);
+  EXPECT_EQ(with_map.adjind, fresh.adjind);
+  EXPECT_EQ(local, std::vector<idx_t>(g.n, -1));
+}
+
+TEST(Graph, PseudoPeripheralLevelsAreTheRootsBfs) {
+  for (const auto& a : {sparse::tridiagonal(9), sparse::grid2d_laplacian(7, 5),
+                        sparse::thermal_proxy(0.005)}) {
+    const Graph g = build_graph(a);
+    std::vector<idx_t> levels;
+    const idx_t root = pseudo_peripheral(g, 0, levels);
+    EXPECT_EQ(root, pseudo_peripheral(g, 0));
+    EXPECT_EQ(levels, bfs_levels(g, root));
+  }
 }
 
 TEST(Graph, BfsLevels) {
@@ -255,6 +279,45 @@ TEST(NestedDissection, CompetitiveWithAmdOnLargerGrid) {
       evaluate_ordering(a, sparse::identity_permutation(a.n()));
   EXPECT_LT(nd_stats.factor_nnz, nat.factor_nnz);
   EXPECT_LT(nd_stats.factor_nnz, 3 * amd_stats.factor_nnz);
+}
+
+// nested_dissection(build_graph(proxy)) pinned bit for bit: FNV-1a of the
+// permutation, captured before its scratch-map and BFS-reuse
+// optimizations. Any change of the separators or leaf orders flips it.
+std::uint64_t permutation_hash(const std::vector<idx_t>& perm) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const idx_t v : perm) {
+    const auto* p = reinterpret_cast<const unsigned char*>(&v);
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(NestedDissection, ProxyPermutationsMatchCapture) {
+  struct Row {
+    const char* name;
+    CscMatrix a;
+    std::uint64_t hash;
+  };
+  const Row rows[] = {
+      {"flan0.02", sparse::flan_proxy(0.02), 0x8e30ecf7eb7123a5ull},
+      {"bones0.02", sparse::bones_proxy(0.02), 0x8223ab69b0087625ull},
+      {"thermal0.005", sparse::thermal_proxy(0.005), 0x771671f667ffa441ull},
+      {"flan0.25", sparse::flan_proxy(0.25), 0x54ee2932bfd23ec1ull},
+      {"bones0.25", sparse::bones_proxy(0.25), 0x85561a1f2228e021ull},
+      {"thermal0.1", sparse::thermal_proxy(0.1), 0x76a9720adf78d375ull},
+      {"flan1", sparse::flan_proxy(1.0), 0xebe08a37720c5865ull},
+      {"bones1", sparse::bones_proxy(1.0), 0xc6b35f8ee65f6611ull},
+      {"thermal1", sparse::thermal_proxy(1.0), 0x27ae8dc36e971d99ull},
+  };
+  for (const Row& r : rows) {
+    const std::uint64_t h =
+        permutation_hash(nested_dissection(build_graph(r.a)));
+    EXPECT_EQ(h, r.hash) << r.name << " actual=0x" << std::hex << h << "ull";
+  }
 }
 
 TEST(Rcm, ReducesBandwidthOnShuffledPath) {

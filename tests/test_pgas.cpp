@@ -229,6 +229,126 @@ TEST(Rpc, StatsCounted) {
   EXPECT_EQ(rt.rank(1).stats().rpcs_executed, 2u);
 }
 
+// ------------------------------------------------------------------
+// Arrival-ordered progress (Config::progress = kArrival, the default):
+// drained RPCs park in arrival order and only those that have arrived by
+// the caller's horizon run.
+
+TEST(ArrivalProgress, FutureRpcWaitsForEarlierReadyTask) {
+  Runtime rt(small_config(2));
+  rt.rank(0).advance(1.0);
+  int hits = 0;
+  rt.rank(0).rpc(1, [&](Rank&) { ++hits; });
+  Rank& r1 = rt.rank(1);
+  // A ready task can start at t = 0.5, before the RPC arrives (t > 1):
+  // the RPC stays parked and the clock stays put for the task.
+  EXPECT_EQ(r1.progress(0.5), 0);
+  EXPECT_EQ(hits, 0);
+  EXPECT_EQ(r1.now(), 0.0);
+  EXPECT_TRUE(r1.has_pending_rpcs());
+  EXPECT_EQ(r1.pending_rpc_count(), 1u);
+  // A task that starts only after the arrival lets it run first.
+  EXPECT_EQ(r1.progress(2.0), 1);
+  EXPECT_EQ(hits, 1);
+  EXPECT_GE(r1.now(), 1.0);
+  EXPECT_FALSE(r1.has_pending_rpcs());
+  EXPECT_EQ(r1.stats().rpcs_deferred, 0u);
+}
+
+TEST(ArrivalProgress, ParkedEntriesRunInArrivalOrder) {
+  Runtime rt(small_config(4));
+  std::vector<int> seen;
+  // Enqueued latest-arrival first, from three senders at distinct
+  // clocks, so neither ties nor enqueue order can mask the result.
+  const double sent_at[] = {3.0, 1.0, 2.0};
+  for (int src = 0; src < 3; ++src) {
+    rt.rank(src).advance(sent_at[src]);
+    rt.rank(src).rpc(3, [&seen, src](Rank&) { seen.push_back(src); });
+  }
+  Rank& r3 = rt.rank(3);
+  EXPECT_EQ(r3.progress(0.0), 0);  // nothing has arrived by t = 0
+  EXPECT_EQ(r3.pending_rpc_count(), 3u);
+  EXPECT_EQ(r3.progress(), 3);
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 0}));
+}
+
+TEST(ArrivalProgress, EqualArrivalsRunInEnqueueOrder) {
+  Runtime rt(small_config(3));
+  std::vector<int> seen;
+  for (int src = 0; src < 2; ++src) {
+    rt.rank(src).rpc(2, [&seen, src](Rank&) { seen.push_back(src); });
+  }
+  EXPECT_EQ(rt.rank(2).progress(), 2);
+  EXPECT_EQ(seen, (std::vector<int>{0, 1}));
+}
+
+TEST(ArrivalProgress, IdleRankAdvancesOnlyToEarliestArrival) {
+  Runtime rt(small_config(3));
+  rt.rank(0).advance(2.0);
+  rt.rank(1).advance(1.0);
+  std::vector<int> seen;
+  rt.rank(0).rpc(2, [&](Rank&) { seen.push_back(0); });
+  rt.rank(1).rpc(2, [&](Rank&) { seen.push_back(1); });
+  Rank& r2 = rt.rank(2);
+  EXPECT_EQ(r2.progress(Rank::kIdle), 1);
+  EXPECT_EQ(seen, std::vector<int>{1});
+  EXPECT_GE(r2.now(), 1.0);
+  EXPECT_LT(r2.now(), 2.0);
+  EXPECT_EQ(r2.pending_rpc_count(), 1u);
+  EXPECT_EQ(r2.progress(Rank::kIdle), 1);
+  EXPECT_EQ(seen, (std::vector<int>{1, 0}));
+  EXPECT_GE(r2.now(), 2.0);
+}
+
+TEST(ArrivalProgress, NoArgumentDrainsEverything) {
+  Runtime rt(small_config(2));
+  for (int i = 0; i < 4; ++i) {
+    rt.rank(0).advance(1.0);
+    rt.rank(0).rpc(1, [](Rank&) {});
+  }
+  Rank& r1 = rt.rank(1);
+  EXPECT_EQ(r1.progress(), 4);
+  EXPECT_GE(r1.now(), 4.0);
+  EXPECT_FALSE(r1.has_pending_rpcs());
+}
+
+TEST(ArrivalProgress, DrainAllIgnoresTheHorizon) {
+  Runtime::Config cfg = small_config(3);
+  cfg.progress = Progress::kDrainAll;
+  Runtime rt(cfg);
+  rt.rank(0).advance(2.0);
+  rt.rank(1).advance(1.0);
+  std::vector<int> seen;
+  rt.rank(0).rpc(2, [&](Rank&) { seen.push_back(0); });
+  rt.rank(1).rpc(2, [&](Rank&) { seen.push_back(1); });
+  // Historical rule: the whole inbox, in enqueue order, warping the
+  // clock to every arrival before the caller's task gets to run.
+  EXPECT_EQ(rt.rank(2).progress(0.0), 2);
+  EXPECT_EQ(seen, (std::vector<int>{0, 1}));
+  EXPECT_GE(rt.rank(2).now(), 2.0);
+}
+
+TEST(ArrivalProgress, DeadRankDropsParkedEntries) {
+  Runtime rt(small_config(2));
+  rt.rank(0).advance(1.0);
+  rt.rank(0).rpc(1, [](Rank&) { FAIL() << "a dead rank ran an RPC"; });
+  EXPECT_EQ(rt.rank(1).progress(0.0), 0);
+  ASSERT_EQ(rt.rank(1).pending_rpc_count(), 1u);
+  rt.rank(1).die();
+  EXPECT_FALSE(rt.rank(1).has_pending_rpcs());
+  EXPECT_EQ(rt.rank(1).pending_rpc_count(), 0u);
+}
+
+TEST(ArrivalProgress, PurgeDropsParkedEntries) {
+  Runtime rt(small_config(2));
+  rt.rank(0).advance(1.0);
+  rt.rank(0).rpc(1, [](Rank&) { FAIL() << "a purged RPC ran"; });
+  EXPECT_EQ(rt.rank(1).progress(0.0), 0);
+  rt.purge_inboxes();
+  EXPECT_FALSE(rt.rank(1).has_pending_rpcs());
+  EXPECT_EQ(rt.rank(1).progress(), 0);
+}
+
 TEST(Rma, RgetCopiesBytesAndReturnsCompletionTime) {
   Runtime rt(small_config(4, 2));
   auto src = rt.rank(2).allocate_host(64);  // remote node from rank 0

@@ -457,18 +457,23 @@ TEST(RecoveryOverheadGate, KillRecoveryWithinBudgetAt16Ranks) {
     const auto a = proxy_matrix(name);
     core::SolverOptions opts = resilient_opts(core::Variant::kFanOut);
     opts.numeric = false;
-    // The 1.5x bound was calibrated on the legacy rendezvous transport;
-    // the eager/coalesced default shortens the fault-free run more than
-    // the recovery path and is tracked separately.
+    // The 1.5x bound was calibrated on the legacy rendezvous transport
+    // and drain-all progress; the eager/coalesced default and
+    // arrival-ordered progress shorten the fault-free run more than the
+    // recovery path (restart delay, idle-triggered death detection) and
+    // are tracked separately.
     opts.comm = legacy_comm();
 
-    pgas::Runtime rt0(cluster(16, /*threaded=*/false));
+    pgas::Runtime::Config cfg0 = cluster(16, /*threaded=*/false);
+    cfg0.progress = kLegacyProgress;
+    pgas::Runtime rt0(cfg0);
     core::SymPackSolver s0(rt0, opts);
     s0.symbolic_factorize(a);
     s0.factorize();
     const double fault_free_s = s0.report().factor_sim_s;
 
     pgas::Runtime::Config cfg = cluster(16, /*threaded=*/false);
+    cfg.progress = kLegacyProgress;
     cfg.faults = kill_config(4242);
     pgas::Runtime rt1(cfg);
     core::SymPackSolver s1(rt1, opts);

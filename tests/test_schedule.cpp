@@ -21,7 +21,10 @@
 // captured on (legacy_ordered: the raw nested-dissection permutation
 // and the old amalgamation thresholds). The kGoldenDefault table pins
 // the default transport on that ordering; kGoldenFullDefault pins what
-// a run with default SolverOptions produces end to end.
+// a run with default SolverOptions produced end to end before progress
+// became arrival-ordered. Every one of those tables runs the runtime
+// with kLegacyProgress (drain the whole inbox); kGoldenArrival pins the
+// full defaults as they are, arrival-ordered progress included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -110,8 +113,10 @@ OrderedProblem legacy_problem(const std::string& proxy,
 }
 
 std::uint64_t run_golden(const OrderedProblem& problem, bool faults,
+                         pgas::Progress progress,
                          pgas::CommStats* stats_out = nullptr) {
   pgas::Runtime::Config cfg;
+  cfg.progress = progress;
   cfg.nranks = 8;
   cfg.ranks_per_node = 4;
   cfg.gpus_per_node = 4;
@@ -193,7 +198,8 @@ TEST_P(GoldenSchedule, HashMatchesPreRefactorCapture) {
     GTEST_SKIP() << "SYMPACK_EAGER_BYTES/SYMPACK_COALESCE override active";
   }
   const std::uint64_t h =
-      run_golden(legacy_problem(g.proxy, legacy_opts(g.policy)), g.faults);
+      run_golden(legacy_problem(g.proxy, legacy_opts(g.policy)), g.faults,
+                 kLegacyProgress);
   EXPECT_EQ(h, g.hash) << "schedule drifted: proxy=" << g.proxy
                        << " policy=" << core::policy_name(g.policy)
                        << " faults=" << (g.faults ? "on" : "off")
@@ -218,7 +224,8 @@ INSTANTIATE_TEST_SUITE_P(All, GoldenSchedule, ::testing::ValuesIn(kGolden),
 TEST(GoldenScheduleTable, DISABLED_PrintTable) {
   for (const Golden& g : kGolden) {
     const std::uint64_t h =
-        run_golden(legacy_problem(g.proxy, legacy_opts(g.policy)), g.faults);
+        run_golden(legacy_problem(g.proxy, legacy_opts(g.policy)), g.faults,
+                   kLegacyProgress);
     printf("    {\"%s\", core::Policy::k%s, %s, 0x%llxull},\n", g.proxy,
            g.policy == core::Policy::kFifo      ? "Fifo"
            : g.policy == core::Policy::kLifo    ? "Lifo"
@@ -265,8 +272,9 @@ TEST_P(GoldenEagerSchedule, HashMatchesCapture) {
     GTEST_SKIP() << "SYMPACK_EAGER_BYTES/SYMPACK_COALESCE override active";
   }
   pgas::CommStats stats;
-  const std::uint64_t h = run_golden(
-      legacy_problem(g.proxy, eager_opts(g.policy)), g.faults, &stats);
+  const std::uint64_t h =
+      run_golden(legacy_problem(g.proxy, eager_opts(g.policy)), g.faults,
+                 kLegacyProgress, &stats);
   // The fast path actually engaged on every row.
   EXPECT_GT(stats.eager_sends, 0u);
   EXPECT_GT(stats.coalesced_signals, 0u);
@@ -281,7 +289,8 @@ INSTANTIATE_TEST_SUITE_P(Eager, GoldenEagerSchedule,
 TEST(GoldenScheduleTable, DISABLED_PrintEagerTable) {
   for (const Golden& g : kGoldenEager) {
     const std::uint64_t h =
-        run_golden(legacy_problem(g.proxy, eager_opts(g.policy)), g.faults);
+        run_golden(legacy_problem(g.proxy, eager_opts(g.policy)), g.faults,
+                   kLegacyProgress);
     printf("    {\"%s\", core::Policy::kFifo, %s, 0x%llxull},\n", g.proxy,
            g.faults ? "true" : "false", static_cast<unsigned long long>(h));
   }
@@ -315,8 +324,10 @@ std::uint64_t comm_stats_hash(const pgas::CommStats& stats) {
 }
 
 std::uint64_t run_solve_golden(const OrderedProblem& problem, int nrhs,
+                               pgas::Progress progress,
                                pgas::CommStats* stats_out = nullptr) {
   pgas::Runtime::Config cfg;
+  cfg.progress = progress;
   cfg.nranks = 8;
   cfg.ranks_per_node = 4;
   cfg.gpus_per_node = 4;
@@ -370,7 +381,8 @@ TEST_P(GoldenSolveSchedule, CommStatsMatchCapture) {
     GTEST_SKIP() << "SYMPACK_* comm/solve environment override active";
   }
   const std::uint64_t h = run_solve_golden(
-      legacy_problem(g.proxy, legacy_solve_opts(g.rhs_panel)), g.nrhs);
+      legacy_problem(g.proxy, legacy_solve_opts(g.rhs_panel)), g.nrhs,
+      kLegacyProgress);
   EXPECT_EQ(h, g.hash) << "solve schedule drifted: proxy=" << g.proxy
                        << " rhs_panel=" << g.rhs_panel << " nrhs=" << g.nrhs
                        << " actual=0x" << std::hex << h << "ull";
@@ -393,7 +405,8 @@ INSTANTIATE_TEST_SUITE_P(Solve, GoldenSolveSchedule,
 TEST(GoldenScheduleTable, DISABLED_PrintSolveTable) {
   for (const SolveGolden& g : kGoldenSolve) {
     const std::uint64_t h = run_solve_golden(
-        legacy_problem(g.proxy, legacy_solve_opts(g.rhs_panel)), g.nrhs);
+        legacy_problem(g.proxy, legacy_solve_opts(g.rhs_panel)), g.nrhs,
+        kLegacyProgress);
     printf("    {\"%s\", %d, %d, 0x%llxull},\n", g.proxy, g.rhs_panel,
            g.nrhs, static_cast<unsigned long long>(h));
   }
@@ -408,8 +421,9 @@ TEST(SolveSchedule, PanelSweepAmortizesMessages) {
   }
   pgas::CommStats per_vector, blocked;
   run_solve_golden({proxy_matrix("flan"), legacy_solve_opts(1)}, 8,
-                   &per_vector);
-  run_solve_golden({proxy_matrix("flan"), legacy_solve_opts(8)}, 8, &blocked);
+                   kLegacyProgress, &per_vector);
+  run_solve_golden({proxy_matrix("flan"), legacy_solve_opts(8)}, 8,
+                   kLegacyProgress, &blocked);
   EXPECT_EQ(blocked.bytes_from_host, per_vector.bytes_from_host);
   // 8 columns per message instead of 1: signals and pulls collapse ~8x.
   EXPECT_LT(blocked.rpcs_sent * 4, per_vector.rpcs_sent);
@@ -435,18 +449,36 @@ struct DefaultGolden {
   std::uint64_t factor_hash;
   std::uint64_t solve_hash;  // nrhs = 4
   bool legacy_order;         // factor legacy_ordered(proxy)
+  pgas::Progress progress;   // runtime inbox rule the row was captured on
 };
 
 const DefaultGolden kGoldenDefault[] = {
-    {"flan", 0x34cf3f084429f975ull, 0xea5f34968d4966ccull, true},
-    {"bones", 0x4dc256fe6fa820full, 0x87986504f1a0eceull, true},
-    {"thermal", 0xd612a177306949a5ull, 0x8c83214083a98e5eull, true},
+    {"flan", 0x34cf3f084429f975ull, 0xea5f34968d4966ccull, true,
+     kLegacyProgress},
+    {"bones", 0x4dc256fe6fa820full, 0x87986504f1a0eceull, true,
+     kLegacyProgress},
+    {"thermal", 0xd612a177306949a5ull, 0x8c83214083a98e5eull, true,
+     kLegacyProgress},
 };
 
 const DefaultGolden kGoldenFullDefault[] = {
-    {"flan", 0x8f8609f7e086d750ull, 0xd84f3c14affdd27bull, false},
-    {"bones", 0xa971d2e1106a0cdaull, 0xc433908c9582d1b9ull, false},
-    {"thermal", 0x99f00a016c6d6437ull, 0xfd0f90195b424c84ull, false},
+    {"flan", 0x8f8609f7e086d750ull, 0xd84f3c14affdd27bull, false,
+     kLegacyProgress},
+    {"bones", 0xa971d2e1106a0cdaull, 0xc433908c9582d1b9ull, false,
+     kLegacyProgress},
+    {"thermal", 0x99f00a016c6d6437ull, 0xfd0f90195b424c84ull, false,
+     kLegacyProgress},
+};
+
+// Default SolverOptions and a default Runtime::Config: arrival-ordered
+// progress (RPCs that arrive after a ready task can start wait for it).
+const DefaultGolden kGoldenArrival[] = {
+    {"flan", 0xcf24dc02446c8676ull, 0x470e0bccb8615cdbull, false,
+     pgas::Progress::kArrival},
+    {"bones", 0x32814b3e32dbcd9aull, 0x8110128b6c9d0359ull, false,
+     pgas::Progress::kArrival},
+    {"thermal", 0x78ce4a9c38c6ba37ull, 0x2edb70153547dcc0ull, false,
+     pgas::Progress::kArrival},
 };
 
 constexpr int kDefaultGoldenNrhs = 4;
@@ -466,7 +498,7 @@ TEST_P(GoldenDefaultSchedule, FactorHashMatchesCapture) {
   }
   pgas::CommStats stats;
   const std::uint64_t h =
-      run_golden(default_problem(g), /*faults=*/false, &stats);
+      run_golden(default_problem(g), /*faults=*/false, g.progress, &stats);
   EXPECT_GT(stats.eager_sends, 0u);
   EXPECT_GT(stats.coalesced_signals, 0u);
   EXPECT_EQ(h, g.factor_hash) << "default schedule drifted: proxy=" << g.proxy
@@ -479,7 +511,7 @@ TEST_P(GoldenDefaultSchedule, SolveCommStatsMatchCapture) {
     GTEST_SKIP() << "SYMPACK_* comm/solve environment override active";
   }
   const std::uint64_t h =
-      run_solve_golden(default_problem(g), kDefaultGoldenNrhs);
+      run_solve_golden(default_problem(g), kDefaultGoldenNrhs, g.progress);
   EXPECT_EQ(h, g.solve_hash) << "default solve drifted: proxy=" << g.proxy
                              << " actual=0x" << std::hex << h << "ull";
 }
@@ -495,18 +527,25 @@ INSTANTIATE_TEST_SUITE_P(Default, GoldenDefaultSchedule,
 INSTANTIATE_TEST_SUITE_P(FullDefault, GoldenDefaultSchedule,
                          ::testing::ValuesIn(kGoldenFullDefault),
                          default_golden_name);
+INSTANTIATE_TEST_SUITE_P(Arrival, GoldenDefaultSchedule,
+                         ::testing::ValuesIn(kGoldenArrival),
+                         default_golden_name);
 
 TEST(GoldenScheduleTable, DISABLED_PrintDefaultTables) {
   const auto print = [](const DefaultGolden& g) {
-    printf("    {\"%s\", 0x%llxull, 0x%llxull, %s},\n", g.proxy,
+    printf("    {\"%s\", 0x%llxull, 0x%llxull, %s,\n     %s},\n", g.proxy,
            static_cast<unsigned long long>(
-               run_golden(default_problem(g), /*faults=*/false)),
+               run_golden(default_problem(g), /*faults=*/false, g.progress)),
            static_cast<unsigned long long>(
-               run_solve_golden(default_problem(g), kDefaultGoldenNrhs)),
-           g.legacy_order ? "true" : "false");
+               run_solve_golden(default_problem(g), kDefaultGoldenNrhs,
+                                g.progress)),
+           g.legacy_order ? "true" : "false",
+           g.progress == kLegacyProgress ? "kLegacyProgress"
+                                         : "pgas::Progress::kArrival");
   };
   for (const DefaultGolden& g : kGoldenDefault) print(g);
   for (const DefaultGolden& g : kGoldenFullDefault) print(g);
+  for (const DefaultGolden& g : kGoldenArrival) print(g);
 }
 
 }  // namespace

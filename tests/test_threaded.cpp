@@ -14,6 +14,7 @@
 // leg at full defaults checks everything but the RPC counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -225,6 +226,103 @@ TEST(ThreadedDefaults, MatchSequentialExceptRpcCounts) {
     EXPECT_EQ(thr.device_bytes_left, 0u) << name;
   }
 }
+
+// ------------------------------------------------------------------
+// Arrival-ordered progress (the runtime default): the threaded drive
+// admits RPCs by arrival just like the sequential one, so both must
+// still solve the system, in both variants.
+
+TEST(ThreadedArrival, SequentialAndThreadedResidualsAgree) {
+  const auto a = sparse::thermal_proxy(0.005);
+  const auto b = sparse::rhs_for_ones(a);
+  for (const core::Variant variant :
+       {core::Variant::kFanOut, core::Variant::kFanIn}) {
+    double residual[2] = {1.0, 1.0};
+    for (const bool threaded : {false, true}) {
+      pgas::Runtime::Config cfg = cluster(8, threaded);
+      ASSERT_EQ(cfg.progress, pgas::Progress::kArrival);
+      pgas::Runtime rt(cfg);
+      core::SolverOptions opts;
+      opts.variant = variant;
+      core::SymPackSolver solver(rt, opts);
+      solver.symbolic_factorize(a);
+      solver.factorize();
+      residual[threaded] =
+          sparse::relative_residual(a, solver.solve(b), b);
+      EXPECT_FALSE(rt.rank(0).has_pending_rpcs());
+    }
+    EXPECT_LT(residual[0], 1e-10) << core::variant_name(variant);
+    EXPECT_LT(residual[1], 1e-10) << core::variant_name(variant);
+    EXPECT_NEAR(residual[0], residual[1], 1e-12)
+        << core::variant_name(variant);
+  }
+}
+
+// A parked entry or a stale horizon must never leak from one call into
+// the next: repeating factorize()/solve() on one solver reproduces the
+// simulated times and every counter bit for bit, for every policy and
+// both variants (sequential drive).
+
+using RepeatParam = std::tuple<core::Variant, core::Policy>;
+
+class ArrivalRepeat : public ::testing::TestWithParam<RepeatParam> {};
+
+TEST_P(ArrivalRepeat, FactorizeAndSolveReproduceBitForBit) {
+  const auto& [variant, policy] = GetParam();
+  const auto a = sparse::bones_proxy(0.02);
+  const auto b = sparse::rhs_for_ones(a);
+  pgas::Runtime rt(cluster(8, /*threaded=*/false));
+  core::SolverOptions opts;
+  opts.variant = variant;
+  opts.policy = policy;
+  core::SymPackSolver solver(rt, opts);
+  solver.symbolic_factorize(a);
+  struct Pass {
+    double factor_sim_s, solve_sim_s;
+    pgas::CommStats factor_stats, solve_stats;
+    std::vector<double> x;
+  };
+  const auto pass = [&] {
+    Pass p;
+    rt.reset_stats();
+    solver.factorize();
+    p.factor_sim_s = solver.report().factor_sim_s;
+    p.factor_stats = rt.total_stats();
+    rt.reset_stats();
+    p.x = solver.solve(b);
+    p.solve_sim_s = solver.report().solve_sim_s;
+    p.solve_stats = rt.total_stats();
+    return p;
+  };
+  const Pass first = pass();
+  const Pass second = pass();
+  EXPECT_LT(sparse::relative_residual(a, first.x, b), 1e-10);
+  EXPECT_EQ(first.factor_sim_s, second.factor_sim_s);
+  EXPECT_EQ(first.solve_sim_s, second.solve_sim_s);
+  expect_stats_equal(first.factor_stats, second.factor_stats);
+  expect_stats_equal(first.solve_stats, second.solve_stats);
+  EXPECT_EQ(first.factor_stats.coalesced_signals,
+            second.factor_stats.coalesced_signals);
+  EXPECT_EQ(first.factor_stats.eager_sends, second.factor_stats.eager_sends);
+  EXPECT_EQ(first.x, second.x);
+}
+
+std::string repeat_name(const ::testing::TestParamInfo<RepeatParam>& info) {
+  std::string n = core::variant_name(std::get<0>(info.param)) + "_" +
+                  core::policy_name(std::get<1>(info.param));
+  std::replace(n.begin(), n.end(), '-', '_');
+  return n;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    VariantsAndPolicies, ArrivalRepeat,
+    ::testing::Combine(::testing::Values(core::Variant::kFanOut,
+                                         core::Variant::kFanIn),
+                       ::testing::Values(core::Policy::kFifo,
+                                         core::Policy::kLifo,
+                                         core::Policy::kPriority,
+                                         core::Policy::kCriticalPath)),
+    repeat_name);
 
 // ------------------------------------------------------------------
 // Seeded interleaving fuzzer at the solver level.
