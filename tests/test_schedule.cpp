@@ -146,6 +146,10 @@ struct Golden {
   core::Policy policy;
   bool faults;
   std::uint64_t hash;
+  core::Variant variant = core::Variant::kFanOut;
+  /// Default SolverOptions (but `policy` and `variant`) on the default
+  /// progress rule, instead of the legacy harness (kGoldenFanIn rows).
+  bool full_default = false;
 };
 
 /// Options of a kGolden row: `policy` on the legacy transport.
@@ -211,6 +215,7 @@ std::string golden_name(const ::testing::TestParamInfo<Golden>& info) {
   n += '_';
   n += core::policy_name(info.param.policy);
   if (info.param.faults) n += "_faults";
+  if (info.param.full_default) n += "_default";
   for (char& c : n) {
     if (c == '-') c = '_';
   }
@@ -293,6 +298,86 @@ TEST(GoldenScheduleTable, DISABLED_PrintEagerTable) {
                    kLegacyProgress);
     printf("    {\"%s\", core::Policy::kFifo, %s, 0x%llxull},\n", g.proxy,
            g.faults ? "true" : "false", static_cast<unsigned long long>(h));
+  }
+}
+
+// ------------------------------------------------------------------
+// Fan-in goldens: the aggregate placement of the update task (U_{s,j,t}
+// runs on the owner of L_{s,j} and its contribution travels as one
+// aggregate per producer and target block). The legacy-harness rows use
+// the kGolden options, fault seed and progress rule; the full_default
+// rows run default SolverOptions on the default progress rule (arrival
+// order, eager + coalesced transport). Aggregated panels run their RTQ
+// FIFO whatever the policy says, so each kCriticalPath row's hash equals
+// the FIFO row of its proxy. Regenerate via DISABLED_PrintFanInTable.
+
+core::SolverOptions fanin_opts(const Golden& g) {
+  core::SolverOptions opts = g.full_default ? core::SolverOptions{}
+                                            : legacy_opts(g.policy);
+  opts.policy = g.policy;
+  opts.variant = g.variant;
+  return opts;
+}
+
+std::uint64_t run_fanin_golden(const Golden& g) {
+  const core::SolverOptions opts = fanin_opts(g);
+  return g.full_default
+             ? run_golden({proxy_matrix(g.proxy), opts}, g.faults,
+                          pgas::Progress::kArrival)
+             : run_golden(legacy_problem(g.proxy, opts), g.faults,
+                          kLegacyProgress);
+}
+
+constexpr auto kFanIn = core::Variant::kFanIn;
+
+const Golden kGoldenFanIn[] = {
+    {"flan", core::Policy::kFifo, false, 0x41493cc4c8c5c815ull, kFanIn},
+    {"bones", core::Policy::kFifo, false, 0xb0438c34147ea18cull, kFanIn},
+    {"thermal", core::Policy::kFifo, false, 0x8d5f5fe4f3541042ull, kFanIn},
+    {"flan", core::Policy::kFifo, true, 0x1e1d12d82c42a3f5ull, kFanIn},
+    {"bones", core::Policy::kFifo, true, 0xaad2830b1e87781bull, kFanIn},
+    {"thermal", core::Policy::kFifo, true, 0x6133c2425027d6d0ull, kFanIn},
+    {"flan", core::Policy::kFifo, false, 0xfcda864c69317b7bull, kFanIn, true},
+    {"bones", core::Policy::kFifo, false, 0xf6ac05b3f3ba95b4ull, kFanIn, true},
+    {"thermal", core::Policy::kFifo, false,
+     0x4c3fde9eebf2d04dull, kFanIn, true},
+    {"flan", core::Policy::kCriticalPath, false,
+     0xfcda864c69317b7bull, kFanIn, true},
+    {"bones", core::Policy::kCriticalPath, false,
+     0xf6ac05b3f3ba95b4ull, kFanIn, true},
+    {"thermal", core::Policy::kCriticalPath, false,
+     0x4c3fde9eebf2d04dull, kFanIn, true},
+};
+
+class GoldenFanInSchedule : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(GoldenFanInSchedule, HashMatchesCapture) {
+  const Golden& g = GetParam();
+  if (g.faults && fault_env_overridden()) {
+    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
+  }
+  if (comm_env_overridden()) {
+    GTEST_SKIP() << "SYMPACK_EAGER_BYTES/SYMPACK_COALESCE override active";
+  }
+  const std::uint64_t h = run_fanin_golden(g);
+  EXPECT_EQ(h, g.hash) << "fan-in schedule drifted: proxy=" << g.proxy
+                       << " policy=" << core::policy_name(g.policy)
+                       << " faults=" << (g.faults ? "on" : "off")
+                       << " full_default=" << g.full_default
+                       << " actual=0x" << std::hex << h << "ull";
+}
+
+INSTANTIATE_TEST_SUITE_P(FanIn, GoldenFanInSchedule,
+                         ::testing::ValuesIn(kGoldenFanIn), golden_name);
+
+TEST(GoldenScheduleTable, DISABLED_PrintFanInTable) {
+  for (const Golden& g : kGoldenFanIn) {
+    printf("    {\"%s\", core::Policy::k%s, %s, 0x%llxull, kFanIn%s},\n",
+           g.proxy,
+           g.policy == core::Policy::kFifo ? "Fifo" : "CriticalPath",
+           g.faults ? "true" : "false",
+           static_cast<unsigned long long>(run_fanin_golden(g)),
+           g.full_default ? ", true" : "");
   }
 }
 

@@ -171,10 +171,12 @@ struct FactorRun {
 
 FactorRun run_factor(const CscMatrix& a, int nranks, bool shard,
                      bool faults = false,
-                     core::Policy policy = core::Policy::kFifo) {
+                     core::Policy policy = core::Policy::kFifo,
+                     core::Variant variant = core::Variant::kFanOut) {
   pgas::Runtime rt(cluster(nranks, faults));
   core::SolverOptions opts;
   opts.policy = policy;
+  opts.variant = variant;
   opts.symbolic.shard = shard;
   if (faults) opts.resilience.buddy_replicas = 1;
   core::SymPackSolver solver(rt, opts);
@@ -202,14 +204,21 @@ TEST(ShardParity, FactorAndProtocolCountersAgreeAt8) {
   if (shard_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_SYMBOLIC_SHARD override active";
   }
-  for (const char* proxy : {"flan", "bones", "thermal"}) {
-    const CscMatrix a = proxy_matrix(proxy);
-    const FactorRun rep = run_factor(a, 8, /*shard=*/false);
-    const FactorRun shd = run_factor(a, 8, /*shard=*/true);
-    SCOPED_TRACE(proxy);
-    expect_factor_parity(rep, shd);
-    // Sharded runs do pay metadata pulls — just not on the wire counters.
-    EXPECT_EQ(rep.stats.symbolic_pull_rpcs, 0u);
+  // Both placements of the update task: fan-out pushes every update to
+  // the target block's owner, fan-in aggregates at the source's owner.
+  for (const auto variant : {core::Variant::kFanOut, core::Variant::kFanIn}) {
+    for (const char* proxy : {"flan", "bones", "thermal"}) {
+      const CscMatrix a = proxy_matrix(proxy);
+      const FactorRun rep = run_factor(a, 8, /*shard=*/false, false,
+                                       core::Policy::kFifo, variant);
+      const FactorRun shd = run_factor(a, 8, /*shard=*/true, false,
+                                       core::Policy::kFifo, variant);
+      SCOPED_TRACE(std::string(proxy) + " " + core::variant_name(variant));
+      expect_factor_parity(rep, shd);
+      // Sharded runs do pay metadata pulls — just not on the wire
+      // counters.
+      EXPECT_EQ(rep.stats.symbolic_pull_rpcs, 0u);
+    }
   }
 }
 
