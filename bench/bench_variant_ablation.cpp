@@ -1,8 +1,8 @@
 // Ablation F: fan-out vs fan-in (Ashcraft's taxonomy, paper §2.3). The
 // paper's symPACK "is inspired by the fan-out algorithm"; this bench
-// quantifies that choice against a fan-in engine with aggregate-vector
-// messages on the same block distribution, across node counts and all
-// three proxy matrices.
+// quantifies that choice against the fan-in placement of the update
+// task (aggregate-vector messages) on the same block distribution,
+// across node counts and all three proxy matrices.
 //
 // Options: --scale 1.0 --nodes 1,4,16,64 --ppn 4
 #include <cstdio>

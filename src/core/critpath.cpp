@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 
@@ -499,12 +501,16 @@ AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
 
   // Stage 1: every fixed policy at the configured split width. The
   // winner can therefore never be slower (in simulated time) than the
-  // best fixed policy at the defaults.
+  // best fixed policy at the defaults. Under fan-in every panel
+  // aggregates and runs its ready queue FIFO whatever the policy says,
+  // so FIFO is the only policy worth a pilot.
   static constexpr Policy kPolicies[] = {Policy::kFifo, Policy::kLifo,
                                          Policy::kPriority,
                                          Policy::kCriticalPath};
+  const std::size_t npolicies =
+      base.variant == Variant::kFanIn ? 1 : std::size(kPolicies);
   choice.pilot_sim_s = 1e300;
-  for (const Policy p : kPolicies) {
+  for (const Policy p : std::span(kPolicies, npolicies)) {
     const double t = pilot(p, w0, choice.mapping, choice.gpu, nullptr);
     record(p, w0, choice.mapping, 0.0, t);
     if (p == Policy::kFifo) choice.default_sim_s = t;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 
+#include "core/solver.hpp"
 #include "pgas/pool.hpp"
 
 namespace sympack::core {
@@ -16,7 +16,11 @@ FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
     : rt_(&rt), sym_(&sym), tg_(&tg), store_(&store), offload_(&offload),
       opts_(opts), stats_(tracer, opts.trace.metadata), rec_(rec) {
   per_rank_.resize(rt.nranks());
-  for (PerRank& pr : per_rank_) pr.rtq.set_policy(opts_.policy);
+  // Aggregated panels run the RTQ FIFO whatever the policy says (the
+  // scheduling-policy ablation targets the push placement).
+  const Policy policy =
+      opts_.variant == Variant::kFanIn ? Policy::kFifo : opts_.policy;
+  for (PerRank& pr : per_rank_) pr.rtq.set_policy(policy);
   net_.init(rt, opts_.fault, tracer, opts_.comm, opts_.resilience);
   // Supernodal elimination-tree depths for the critical-path policy.
   // The parent of a supernode holds its first below-row; parents have
@@ -36,45 +40,57 @@ FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
     goal_update_[r] = tg.owned_update_tasks(r);
   }
 
-  const idx_t nb = store.num_blocks();
-  deps_.init(nb);
-  for (idx_t k = 0; k < sym.num_snodes(); ++k) {
+  // Dependency counts as if every update pushed: the updates landing in
+  // the block, plus the panel's diagonal factor for an F block.
+  deps_.init(store.num_blocks());
+  for (idx_t k = 0; k < ns; ++k) {
     const idx_t nslots = 1 + static_cast<idx_t>(sym.snode(k).blocks.size());
     for (BlockSlot slot = 0; slot < nslots; ++slot) {
       const idx_t bid = store.block_id(k, slot);
-      if (rec_ != nullptr && rec_->complete[bid] != 0) {
+      if (complete(bid)) {
         // Warm start: the block's factor task already ran in a previous
         // attempt (data restored from the buddy checkpoint) — no deps,
         // no task, one less goal for the owner.
-        deps_.set_count(bid, 0);
         --goal_factor_[store.owner(bid)];
         continue;
       }
-      // F tasks additionally wait for the panel's diagonal factor.
       deps_.set_count(bid, static_cast<int>(tg.update_count(k, slot)) +
                                (slot == 0 ? 0 : 1));
-      // Seed the RTQ: diagonal blocks with no incoming updates.
-      if (slot == 0 && deps_.count(bid) == 0) {
-        enqueue(per_rank_[store.owner(bid)],
-                Task{TaskType::kDiag, k, 0, 0, 0, 0.0});
+    }
+  }
+  // Re-place the updates that do not push. An update folding into a
+  // complete block never re-runs: it leaves its rank's goal. An
+  // aggregated update counts toward its producer's goal, and only the
+  // producer's first aggregate into a block is a dependency of it.
+  const auto& map = tg.mapping();
+  for (idx_t j = 0; j < ns; ++j) {
+    if (rec_ == nullptr && !aggregates(j)) continue;
+    const auto& sn = sym.snode(j);
+    const idx_t nbj = static_cast<idx_t>(sn.blocks.size());
+    for (idx_t si = 1; si <= nbj; ++si) {
+      const idx_t s = sn.blocks[si - 1].target;
+      for (idx_t ti = 1; ti <= si; ++ti) {
+        const int pusher = map(s, sn.blocks[ti - 1].target);
+        const idx_t bid = update_target_bid(j, si, ti);
+        if (complete(bid)) {
+          --goal_update_[pusher];
+          continue;
+        }
+        if (!aggregates(j)) continue;
+        const int producer = map(s, j);
+        --goal_update_[pusher];
+        ++goal_update_[producer];
+        const bool first = ++per_rank_[producer].aggs[bid].pending == 1;
+        deps_.set_count(bid, deps_.count(bid) - 1 + (first ? 1 : 0));
       }
     }
   }
-  if (rec_ != nullptr) {
-    // Updates folding into a complete block never re-run: shrink their
-    // owners' termination goals to match (the owner of U_{k,si,ti} is
-    // the owner of its target block).
-    const auto& map = tg.mapping();
-    for (idx_t k = 0; k < sym.num_snodes(); ++k) {
-      const auto& sn = sym.snode(k);
-      const idx_t nbk = static_cast<idx_t>(sn.blocks.size());
-      for (idx_t si = 1; si <= nbk; ++si) {
-        for (idx_t ti = 1; ti <= si; ++ti) {
-          if (update_needed(k, si, ti)) continue;
-          --goal_update_[map(sn.blocks[si - 1].target,
-                             sn.blocks[ti - 1].target)];
-        }
-      }
+  // Seed the RTQ: diagonal blocks with no incoming dependencies.
+  for (idx_t k = 0; k < ns; ++k) {
+    const idx_t bid = store.block_id(k, 0);
+    if (!complete(bid) && deps_.count(bid) == 0) {
+      enqueue(per_rank_[store.owner(bid)],
+              Task{TaskType::kDiag, k, 0, 0, 0, 0.0});
     }
   }
 }
@@ -82,14 +98,24 @@ FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
 FactorEngine::~FactorEngine() {
   // An abnormal unwind (rank death mid-phase) can leave fetched blocks
   // parked in the use caches; return their device allocations so the
-  // next attempt starts with the full segment.
+  // next attempt starts with the full segment. Sent aggregates' staging
+  // buffers are consumed by their receivers before those report done;
+  // return them (pool-allocated) on every exit.
   for (int r = 0; r < static_cast<int>(per_rank_.size()); ++r) {
     pgas::Rank& rank = rt_->rank(r);
     per_rank_[r].cache.for_each([&rank](sparse::idx_t, RemoteFactor& rf) {
       if (!rf.device.is_null()) rank.deallocate(rf.device);
     });
     per_rank_[r].cache.clear();
+    for (auto& g : per_rank_[r].out_buffers) rank.pool_deallocate(g);
+    per_rank_[r].out_buffers.clear();
   }
+}
+
+int FactorEngine::runs_on(idx_t j, idx_t si, idx_t ti) const {
+  const auto& sn = sym_->snode(j);
+  const idx_t s = sn.blocks[si - 1].target;
+  return tg_->mapping()(s, aggregates(j) ? j : sn.blocks[ti - 1].target);
 }
 
 idx_t FactorEngine::update_target_bid(idx_t k, idx_t si, idx_t ti) const {
@@ -101,7 +127,7 @@ idx_t FactorEngine::update_target_bid(idx_t k, idx_t si, idx_t ti) const {
 }
 
 bool FactorEngine::update_needed(idx_t k, idx_t si, idx_t ti) const {
-  return rec_ == nullptr || rec_->complete[update_target_bid(k, si, ti)] == 0;
+  return rec_ == nullptr || !complete(update_target_bid(k, si, ti));
 }
 
 void FactorEngine::run() {
@@ -115,18 +141,7 @@ void FactorEngine::publish_restored() {
     const idx_t nslots = 1 + static_cast<idx_t>(sym_->snode(k).blocks.size());
     for (BlockSlot slot = 0; slot < nslots; ++slot) {
       const idx_t bid = store_->block_id(k, slot);
-      if (rec_->complete[bid] == 0) continue;
-      pgas::Rank& owner = rt_->rank(store_->owner(bid));
-      // Local consumers with pending tasks read the restored data in
-      // place; remote ones get a plain rendezvous signal and pull it.
-      if (local_uses(owner.id(), k, slot) > 0) {
-        deliver(owner, k, slot,
-                FactorRef{store_->data(bid), owner.now(), false, -1});
-      }
-      for (int r : tg_->recipients(k, slot)) {
-        if (local_uses(r, k, slot) == 0) continue;
-        net_.send(owner, r, Signal{k, slot, 0, nullptr});
-      }
+      if (complete(bid)) share(rt_->rank(store_->owner(bid)), k, slot);
     }
   }
 }
@@ -180,7 +195,7 @@ int FactorEngine::local_uses(int rank, idx_t k, BlockSlot slot) const {
   if (slot == 0) {
     for (idx_t fs = 1; fs <= nb; ++fs) {
       if (map(sn.blocks[fs - 1].target, k) != rank) continue;
-      if (rec_ != nullptr && rec_->complete[store_->block_id(k, fs)] != 0) {
+      if (complete(store_->block_id(k, fs))) {
         continue;  // that F task already ran in a previous attempt
       }
       ++uses;
@@ -188,22 +203,71 @@ int FactorEngine::local_uses(int rank, idx_t k, BlockSlot slot) const {
     return uses;
   }
   const idx_t si = slot;
-  const idx_t s = sn.blocks[si - 1].target;
   for (idx_t ti = 1; ti <= si; ++ti) {
-    if (map(s, sn.blocks[ti - 1].target) == rank && update_needed(k, si, ti)) {
-      ++uses;
-    }
+    if (runs_on(k, si, ti) == rank && update_needed(k, si, ti)) ++uses;
   }
   for (idx_t si2 = si + 1; si2 <= nb; ++si2) {
-    if (map(sn.blocks[si2 - 1].target, s) == rank &&
-        update_needed(k, si2, si)) {
-      ++uses;
-    }
+    if (runs_on(k, si2, si) == rank && update_needed(k, si2, si)) ++uses;
   }
   return uses;
 }
 
+const std::vector<int>& FactorEngine::recipients(int owner, idx_t k,
+                                                 BlockSlot slot,
+                                                 std::vector<int>& out) const {
+  if (aggregates(k) && slot > 0) {
+    // An aggregated block is the source operand only of its owner's own
+    // updates; remotely it is the pivot of U_{s',k,s} (s' > s), which run
+    // on the owners of the other blocks of its panel column.
+    const idx_t nb = static_cast<idx_t>(sym_->snode(k).blocks.size());
+    for (idx_t si2 = slot + 1; si2 <= nb; ++si2) {
+      const int r = runs_on(k, si2, slot);
+      if (r != owner && update_needed(k, si2, slot)) out.push_back(r);
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }
+  // The task graph's precomputed P_F/P_D sets. On a recovery attempt, a
+  // rank whose uses were all cut out with the completed sub-DAG is
+  // skipped.
+  const std::vector<int>& all = tg_->recipients(k, slot);
+  if (rec_ == nullptr) return all;
+  for (int r : all) {
+    if (local_uses(r, k, slot) > 0) out.push_back(r);
+  }
+  return out;
+}
+
+double FactorEngine::charged_get(pgas::Rank& rank, std::size_t bytes,
+                                 int from, bool to_device) {
+  const double ready = rank.transfer_completion(
+      bytes, from, pgas::MemKind::kHost,
+      to_device ? pgas::MemKind::kDevice : pgas::MemKind::kHost);
+  rank.advance(rt_->model().rma_issue_s);
+  ++rank.stats().gets;
+  rank.stats().bytes_from_host += bytes;
+  if (to_device) rank.stats().bytes_to_device += bytes;
+  return ready;
+}
+
 void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
+  if (sig.kind == Signal::Kind::kAggregate) {
+    // Producer sig.from owes target block (k, slot) nothing more. Eager:
+    // the aggregate arrived inline (the Rank layer already charged the
+    // wire bytes and arrival). Rendezvous: read it from the producer's
+    // staging buffer. Link-level dedup has already filtered duplicates.
+    if (sig.eager_bytes > 0) {
+      apply_aggregate(rank, sig.k, sig.slot,
+                      sig.payload ? sig.payload.get() : nullptr, rank.now());
+      return;
+    }
+    const std::size_t bytes = store_->bytes(store_->block_id(sig.k, sig.slot));
+    const double ready = charged_get(rank, bytes, sig.from, false);
+    rank.merge_clock(std::max(sig.sent, rank.now()));
+    apply_aggregate(rank, sig.k, sig.slot, sig.data, ready);
+    return;
+  }
   // A signal dereferences the source panel's metadata on the consumer;
   // under a sharded view a non-resident panel costs one metadata pull
   // here (then caches).
@@ -234,8 +298,9 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
     return;
   }
 
+  // Pivots of aggregated updates stay in host memory.
   RemoteFactor rf;
-  bool on_device = offload_->device_resident(elems);
+  bool on_device = !aggregates(sig.k) && offload_->device_resident(elems);
   double ready;
   if (store_->numeric()) {
     const double* data = nullptr;
@@ -274,13 +339,7 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
   } else {
     // Protocol-only mode: no buffers move, but the transfer is charged
     // and counted identically.
-    ready = rank.transfer_completion(
-        bytes, store_->owner(bid), pgas::MemKind::kHost,
-        on_device ? pgas::MemKind::kDevice : pgas::MemKind::kHost);
-    rank.advance(rt_->model().rma_issue_s);
-    ++rank.stats().gets;
-    rank.stats().bytes_from_host += bytes;
-    if (on_device) rank.stats().bytes_to_device += bytes;
+    ready = charged_get(rank, bytes, store_->owner(bid), on_device);
     rf.ref = FactorRef{nullptr, ready, on_device, bid};
   }
 
@@ -313,7 +372,7 @@ void FactorEngine::deliver(pgas::Rank& rank, idx_t k, BlockSlot slot,
     for (idx_t fs = 1; fs <= nb; ++fs) {
       if (map(sn.blocks[fs - 1].target, k) != me) continue;
       const idx_t bid = store_->block_id(k, fs);
-      if (rec_ != nullptr && rec_->complete[bid] != 0) continue;
+      if (complete(bid)) continue;
       if (deps_.satisfy(bid, ref.ready)) {
         enqueue(pr, Task{TaskType::kFactor, k, fs, 0, 0, deps_.ready(bid)});
       }
@@ -322,19 +381,17 @@ void FactorEngine::deliver(pgas::Rank& rank, idx_t k, BlockSlot slot,
   }
 
   const idx_t si = slot;
-  const idx_t s = sn.blocks[si - 1].target;
   // As the source operand of U_{s,k,t}, t <= s (includes the SYRK task
   // at ti == si, which has a single operand).
   for (idx_t ti = 1; ti <= si; ++ti) {
-    if (map(s, sn.blocks[ti - 1].target) == me && update_needed(k, si, ti)) {
+    if (runs_on(k, si, ti) == me && update_needed(k, si, ti)) {
       satisfy_update(rank, k, si, ti, ref, /*as_source=*/true);
     }
   }
   // As the pivot operand of U_{s',k,s}, s' > s (strictly, so the SYRK
   // task is not double-counted).
   for (idx_t si2 = si + 1; si2 <= nb; ++si2) {
-    if (map(sn.blocks[si2 - 1].target, s) == me &&
-        update_needed(k, si2, si)) {
+    if (runs_on(k, si2, si) == me && update_needed(k, si2, si)) {
       satisfy_update(rank, k, si2, si, ref, /*as_source=*/false);
     }
   }
@@ -375,9 +432,13 @@ void FactorEngine::publish(pgas::Rank& rank, idx_t k, BlockSlot slot) {
       });
     }
   }
+  share(rank, k, slot);
+}
+
+void FactorEngine::share(pgas::Rank& rank, idx_t k, BlockSlot slot) {
+  const idx_t bid = store_->block_id(k, slot);
   // Local consumers are satisfied directly (no message, data in place).
   if (local_uses(rank.id(), k, slot) > 0) {
-    const idx_t bid = store_->block_id(k, slot);
     deliver(rank, k, slot,
             FactorRef{store_->data(bid), rank.now(), false, -1});
   }
@@ -385,27 +446,26 @@ void FactorEngine::publish(pgas::Rank& rank, idx_t k, BlockSlot slot) {
   // the block with a one-sided get when they next poll — unless the
   // block is small enough for the eager protocol, in which case the
   // data rides inside the signal and the pull round trip is skipped.
-  const auto& recipients = tg_->recipients(k, slot);
-  if (recipients.empty()) return;
-  const idx_t bid = store_->block_id(k, slot);
-  const std::size_t bytes = store_->bytes(bid);
-  if (net_.eager(bytes)) {
-    Signal sig{k, slot, static_cast<std::uint32_t>(bytes), nullptr};
-    if (store_->numeric()) {
-      // One pooled buffer serves every recipient (the signal copies
-      // share it); it returns to the pool when the last consumer's
-      // uses drain.
-      auto buf =
-          pgas::shared_host_buffer(rank, bytes / sizeof(double));
-      std::memcpy(buf.get(), store_->data(bid), bytes);
-      sig.payload = std::move(buf);
-    }
-    for (int r : recipients) net_.send(rank, r, sig);
-    return;
+  std::vector<int> scratch;
+  const std::vector<int>& to = recipients(rank.id(), k, slot, scratch);
+  if (to.empty()) return;
+  Signal sig{k, slot, 0, nullptr};
+  inline_payload(rank, sig, store_->data(bid), store_->bytes(bid));
+  for (int r : to) net_.send(rank, r, sig);
+}
+
+bool FactorEngine::inline_payload(pgas::Rank& rank, Signal& sig,
+                                  const double* src, std::size_t bytes) {
+  if (!net_.eager(bytes)) return false;
+  sig.eager_bytes = static_cast<std::uint32_t>(bytes);
+  if (store_->numeric()) {
+    // One pooled buffer serves every recipient (the signal copies share
+    // it); it returns to the pool when the last consumer's uses drain.
+    auto buf = pgas::shared_host_buffer(rank, bytes / sizeof(double));
+    std::memcpy(buf.get(), src, bytes);
+    sig.payload = std::move(buf);
   }
-  for (int r : recipients) {
-    net_.send(rank, r, Signal{k, slot, 0, nullptr});
-  }
+  return true;
 }
 
 void FactorEngine::execute(pgas::Rank& rank, const Task& task) {
@@ -452,12 +512,7 @@ void FactorEngine::execute_diag(pgas::Rank& rank, const Task& task) {
   const int w = static_cast<int>(sn.width());
   const idx_t bid = store_->block_id(task.k, 0);
   const int info = offload_->run_potrf(rank, w, store_->data(bid), w);
-  if (info != 0) {
-    throw std::runtime_error(
-        "sympack: matrix is not positive definite (pivot failure at "
-        "column " +
-        std::to_string(sn.first + info - 1) + ")");
-  }
+  if (info != 0) throw NotPositiveDefiniteError(sn.first + info - 1);
   publish(rank, task.k, 0);
 }
 
@@ -503,17 +558,29 @@ void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
   const int np = static_cast<int>(tblk.nrows);
   const auto& tgt_sn = sym_->snode(t);
   const bool numeric = store_->numeric();
+  // SYRK updates the diagonal block of supernode t, GEMM block B_{s,t}.
+  const BlockSlot tslot = (s == t) ? 0 : sym_->find_block(t, s) + 1;
+  const idx_t tbid = store_->block_id(t, tslot);
+  const idx_t ld = store_->nrows(tbid);
+  // A pushed update folds into the target block (this rank owns it); an
+  // aggregated one into this rank's aggregate buffer for the block.
+  Aggregate* agg = aggregates(j) ? &pr.aggs.at(tbid) : nullptr;
+  double* target = nullptr;
+  if (numeric && agg == nullptr) {
+    target = store_->data(tbid);
+  } else if (numeric) {
+    if (agg->buf.empty()) {
+      agg->buf.assign(store_->bytes(tbid) / sizeof(double), 0.0);
+    }
+    target = agg->buf.data();
+  }
 
   if (s == t) {
-    // SYRK: update the diagonal block of supernode t.
-    const idx_t tbid = store_->block_id(t, 0);
     if (numeric) {
       std::vector<double> scratch(static_cast<std::size_t>(m) * m, 0.0);
       offload_->run_syrk(rank, m, w, st.src.data, m, scratch.data(), m,
                          st.src.on_device);
       // Scatter-add (scratch holds -L L^T on its lower triangle).
-      double* target = store_->data(tbid);
-      const idx_t ld = store_->nrows(tbid);
       for (int c = 0; c < m; ++c) {
         const idx_t gc = sn.below[sblk.row_off + c] - tgt_sn.first;
         for (int r = c; r < m; ++r) {
@@ -527,18 +594,12 @@ void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
     }
     offload_->charge_scatter(rank,
                              sizeof(double) * static_cast<std::size_t>(m) * m);
-    complete_target_update(rank, t, 0);
   } else {
-    // GEMM: update block B_{s,t} of supernode t.
-    const idx_t tslot = sym_->find_block(t, s) + 1;
-    const idx_t tbid = store_->block_id(t, tslot);
     if (numeric) {
       std::vector<double> scratch(static_cast<std::size_t>(m) * np);
       offload_->run_gemm(rank, m, np, w, st.src.data, m, st.piv.data, np,
                          scratch.data(), m, st.src.on_device,
                          st.piv.on_device);
-      double* target = store_->data(tbid);
-      const idx_t ld = store_->nrows(tbid);
       for (int c = 0; c < np; ++c) {
         const idx_t gc = sn.below[tblk.row_off + c] - tgt_sn.first;
         for (int r = 0; r < m; ++r) {
@@ -553,18 +614,62 @@ void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
     }
     offload_->charge_scatter(
         rank, sizeof(double) * static_cast<std::size_t>(m) * np);
-    complete_target_update(rank, t, tslot);
   }
 
   ++pr.done_update;
   release_ref(rank, st.src);
   if (task.si != task.ti) release_ref(rank, st.piv);
+  if (agg == nullptr) {
+    complete_target_update(rank, t, tslot, rank.now());
+  } else if (--agg->pending == 0) {
+    flush_aggregate(rank, t, tslot, *agg);
+  }
+}
+
+void FactorEngine::flush_aggregate(pgas::Rank& rank, idx_t t, BlockSlot slot,
+                                   const Aggregate& agg) {
+  const int me = rank.id();
+  const idx_t bid = store_->block_id(t, slot);
+  const int owner = store_->owner(bid);
+  const double* buf = agg.buf.empty() ? nullptr : agg.buf.data();
+  if (owner == me) {
+    apply_aggregate(rank, t, slot, buf, rank.now());
+    return;
+  }
+  // Send the aggregate (one message carrying the whole block
+  // contribution, §2.3's second message type). Small aggregates go eager
+  // — inlined into the signal, no staging buffer and no pull on the
+  // receiver; larger ones are staged in a pool-backed buffer of this
+  // rank's segment for the owner to read.
+  const std::size_t bytes = store_->bytes(bid);
+  Signal sig{t, slot, 0, nullptr, Signal::Kind::kAggregate, me};
+  if (!inline_payload(rank, sig, buf, bytes) && store_->numeric()) {
+    auto g = rank.pool_allocate_host(bytes);
+    std::memcpy(g.addr, buf, bytes);
+    per_rank_[me].out_buffers.push_back(g);
+    sig.data = g.local<double>();
+  }
+  sig.sent = rank.now();
+  net_.send(rank, owner, sig);
+}
+
+void FactorEngine::apply_aggregate(pgas::Rank& rank, idx_t t, BlockSlot slot,
+                                   const double* buf, double ready) {
+  const idx_t bid = store_->block_id(t, slot);
+  if (store_->numeric() && buf != nullptr) {
+    // The aggregate buffer holds the (negative) update sum to be added.
+    double* target = store_->data(bid);
+    const std::size_t elems = store_->bytes(bid) / sizeof(double);
+    for (std::size_t i = 0; i < elems; ++i) target[i] += buf[i];
+  }
+  offload_->charge_scatter(rank, store_->bytes(bid));
+  complete_target_update(rank, t, slot, std::max(ready, rank.now()));
 }
 
 void FactorEngine::complete_target_update(pgas::Rank& rank, idx_t t,
-                                          BlockSlot slot) {
+                                          BlockSlot slot, double ready) {
   const idx_t bid = store_->block_id(t, slot);
-  if (deps_.satisfy(bid, rank.now())) {
+  if (deps_.satisfy(bid, ready)) {
     enqueue(per_rank_[rank.id()],
             Task{slot == 0 ? TaskType::kDiag : TaskType::kFactor, t, slot,
                  0, 0, deps_.ready(bid)});
@@ -591,9 +696,9 @@ void FactorEngine::enqueue(PerRank& pr, const Task& task) {
   // longest remaining elimination-tree chain). The queue itself only
   // orders by this number (core/taskrt/ready_queue.hpp).
   std::int64_t prio = 0;
-  if (opts_.policy == Policy::kPriority) {
+  if (pr.rtq.policy() == Policy::kPriority) {
     prio = -static_cast<std::int64_t>(task.k);
-  } else if (opts_.policy == Policy::kCriticalPath) {
+  } else if (pr.rtq.policy() == Policy::kCriticalPath) {
     prio = static_cast<std::int64_t>(task_depth(task));
   }
   pr.rtq.push(task, prio);

@@ -7,7 +7,6 @@
 
 #include "core/critpath.hpp"
 #include "core/factor.hpp"
-#include "core/fanin.hpp"
 #include "core/solve.hpp"
 #include "core/taskrt/reliable.hpp"
 #include "ordering/etree.hpp"
@@ -88,6 +87,13 @@ Variant parse_variant(const std::string& name) {
 std::string variant_name(Variant v) {
   return v == Variant::kFanOut ? "fan-out" : "fan-in";
 }
+
+NotPositiveDefiniteError::NotPositiveDefiniteError(sparse::idx_t column)
+    : std::runtime_error(
+          "sympack: matrix is not positive definite (pivot failure at "
+          "column " +
+          std::to_string(column) + ")"),
+      column_(column) {}
 
 SymPackSolver::SymPackSolver(pgas::Runtime& rt, SolverOptions opts)
     : rt_(&rt), opts_(opts) {
@@ -229,16 +235,14 @@ void SymPackSolver::factorize() {
   // phase's simulated makespan (the overhead gate measures exactly this).
   for (int attempt = 0;; ++attempt) {
     try {
-      if (opts_.variant == Variant::kFanOut) {
-        FactorEngine engine(*rt_, *sview_, *tgview_, *store_, *offload_,
-                            opts_, tracer_, rec);
-        engine.run();
-      } else {
-        FanInEngine engine(*rt_, *sview_, *tgview_, *store_, *offload_,
-                           opts_, tracer_, rec);
-        engine.run();
-      }
+      FactorEngine engine(*rt_, *sview_, *tgview_, *store_, *offload_, opts_,
+                          tracer_, rec);
+      engine.run();
       break;
+    } catch (const NotPositiveDefiniteError& e) {
+      // The engine names the factor's (permuted) column; report the
+      // caller's.
+      throw NotPositiveDefiniteError(perm_[e.column()]);
     } catch (const pgas::RankDeathError& e) {
       if (rec == nullptr || attempt >= opts_.resilience.max_recoveries) {
         throw;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/block_store.hpp"
@@ -29,6 +30,18 @@
 namespace sympack::core {
 
 struct AutoTuneChoice;  // core/critpath.hpp
+
+/// factorize() found a diagonal pivot that is not positive: the matrix
+/// is not (numerically) positive definite. column() is in the caller's
+/// ordering.
+class NotPositiveDefiniteError : public std::runtime_error {
+ public:
+  explicit NotPositiveDefiniteError(sparse::idx_t column);
+  [[nodiscard]] sparse::idx_t column() const { return column_; }
+
+ private:
+  sparse::idx_t column_;
+};
 
 class SymPackSolver {
  public:

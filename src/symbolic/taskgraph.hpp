@@ -5,10 +5,14 @@
 //   F_{s,k}   factor off-diagonal block B_{s,k}                   (TRSM)
 //   U_{s,j,t} update B_{s,t} with L_{s,j} * L_{t,j}^T         (SYRK/GEMM)
 // U_{s,j,t} exists for every panel j and every ordered pair of its blocks
-// (t <= s); it executes on the owner of the *target* block B_{s,t} — the
-// defining property of the fan-out family.
+// (t <= s). Under fan-out it executes on the owner of the *target* block
+// B_{s,t} (the push placement, the defining property of the fan-out
+// family); under fan-in the factor engine places it on the owner of the
+// source block L_{s,j} instead and re-places the counts below
+// accordingly (core/factor.hpp).
 //
-// This class precomputes, for a given block->process mapping:
+// This class precomputes, for a given block->process mapping and the
+// push placement:
 //   - the number of updates landing in every block (the initial
 //     dependency counters of the D and F tasks),
 //   - per-rank task totals (termination detection),

@@ -369,5 +369,51 @@ TEST(AutoPolicy, NoWorseThanEveryFixedPolicy) {
   EXPECT_NEAR(choice->report.makespan_s, auto_sim, 1e-9);
 }
 
+// Under fan-in every panel aggregates, and aggregated panels run their
+// ready queue FIFO whatever the policy says: the other policy pilots
+// would measure the same schedule again. Stage 1 pilots FIFO alone, and
+// the tuned factorization is the fixed-FIFO one at the adopted
+// width/mapping/offload configuration.
+TEST(AutoPolicy, FanInPilotsFifoOnly) {
+  const auto a = sparse::thermal_proxy(0.02);
+  auto make = [&](pgas::Runtime& rt, core::SolverOptions opts) {
+    opts.variant = core::Variant::kFanIn;
+    auto solver = std::make_unique<core::SymPackSolver>(rt, opts);
+    solver->symbolic_factorize(a);
+    solver->factorize();
+    return solver;
+  };
+  pgas::Runtime rt(pgas::Runtime::Config{.nranks = 8, .ranks_per_node = 4});
+  core::SolverOptions auto_opts;
+  auto_opts.policy = core::Policy::kAuto;
+  const auto tuned = make(rt, auto_opts);
+  const auto* choice = tuned->autotune_choice();
+  ASSERT_NE(choice, nullptr);
+  EXPECT_EQ(choice->policy, core::Policy::kFifo);
+  EXPECT_EQ(tuned->options().policy, core::Policy::kFifo);
+
+  // Stage-1 rows: the configured width, mapping and offload thresholds
+  // (the later stages each change one of them).
+  const core::SolverOptions defaults;
+  int stage1 = 0;
+  for (const auto& cand : choice->candidates) {
+    if (cand.max_width == defaults.symbolic.max_width &&
+        cand.mapping == defaults.mapping && cand.offload_scale == 0.0) {
+      ++stage1;
+      EXPECT_EQ(cand.policy, core::Policy::kFifo);
+    }
+  }
+  EXPECT_EQ(stage1, 1);
+
+  core::SolverOptions fifo_opts;
+  fifo_opts.policy = core::Policy::kFifo;
+  fifo_opts.symbolic.max_width = choice->max_width;
+  fifo_opts.mapping = choice->mapping;
+  fifo_opts.gpu = choice->gpu;
+  const auto fixed = make(rt, fifo_opts);
+  EXPECT_EQ(tuned->dense_factor(), fixed->dense_factor());
+  EXPECT_EQ(tuned->report().factor_sim_s, fixed->report().factor_sim_s);
+}
+
 }  // namespace
 }  // namespace sympack

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "blas/blas.hpp"
 #include "core/solver.hpp"
@@ -275,6 +277,53 @@ TEST(Solver, IndefiniteMatrixThrows) {
   solver.symbolic_factorize(a);
   EXPECT_THROW(solver.factorize(), std::runtime_error);
 }
+
+// A failed pivot is a typed error naming the caller's column (the factor
+// runs in the permuted ordering), for both placements of the update task
+// and both drive modes; the runtime stays usable for a fresh solver.
+using NpdParam = std::tuple<Variant, bool>;  // (variant, threaded)
+class NotPositiveDefinite : public ::testing::TestWithParam<NpdParam> {};
+
+TEST_P(NotPositiveDefinite, NamesTheCallersColumnAndRuntimeStaysUsable) {
+  const auto [variant, threaded] = GetParam();
+  pgas::Runtime::Config cfg = cluster(4);
+  cfg.threaded = threaded;
+  pgas::Runtime rt(cfg);
+  SolverOptions opts;
+  opts.variant = variant;
+  const CscMatrix good = sparse::grid2d_laplacian(10, 10);
+  CscMatrix bad = good;
+  constexpr idx_t kColumn = 37;
+  for (idx_t p = bad.colptr()[kColumn]; p < bad.colptr()[kColumn + 1]; ++p) {
+    if (bad.rowind()[p] == kColumn) bad.values()[p] = -50.0;
+  }
+  {
+    SymPackSolver solver(rt, opts);
+    solver.symbolic_factorize(bad);
+    // The ordering moves the column, so the permuted index would differ.
+    const auto& perm = solver.permutation();
+    ASSERT_NE(perm[kColumn], kColumn);
+    try {
+      solver.factorize();
+      FAIL() << "factorize() accepted an indefinite matrix";
+    } catch (const NotPositiveDefiniteError& e) {
+      EXPECT_EQ(e.column(), kColumn);
+      EXPECT_NE(std::string(e.what()).find("column 37)"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_LT(solve_residual(rt, good, opts), 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    VariantsAndDriveModes, NotPositiveDefinite,
+    ::testing::Combine(::testing::Values(Variant::kFanOut, Variant::kFanIn),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<NpdParam>& info) {
+      std::string n = std::get<0>(info.param) == Variant::kFanOut ? "fanout"
+                                                                  : "fanin";
+      return n + (std::get<1>(info.param) ? "_threaded" : "_sequential");
+    });
 
 TEST(Solver, MultipleRhs) {
   pgas::Runtime rt(cluster(4));
