@@ -93,8 +93,7 @@ int main(int argc, char** argv) {
       double auto_s;
       core::Policy chosen = core::Policy::kFifo;
       sparse::idx_t chosen_width = 0;
-      symbolic::Mapping::Kind chosen_mapping =
-          symbolic::Mapping::Kind::k2dBlockCyclic;
+      symbolic::Mapping::Kind chosen_mapping = core::SolverOptions{}.mapping;
       double chosen_offload = 0.0;
       // What the old policy+width-only search would have picked: the
       // best candidate with the default mapping and no offload retune.

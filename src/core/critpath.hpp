@@ -35,8 +35,8 @@
 // simulated runtime with the same cluster shape: (1) every fixed
 // scheduling policy at the configured split width, (2) split widths
 // around the configured one under the winning policy, (3) the
-// block-to-process mapping grids (2D block-cyclic / row-cyclic /
-// col-cyclic), and (4) GPU offload thresholds seeded from
+// block-to-process mappings (subtree layer / 2D block-cyclic /
+// row-cyclic / col-cyclic), and (4) GPU offload thresholds seeded from
 // gpu::analytic_thresholds scaled by {0.5, 1, 2}. Stages 3 and 4 adopt a
 // candidate only when its pilot is *strictly* faster, so the chosen
 // configuration is never slower (in simulated time) than the best fixed
@@ -142,7 +142,7 @@ struct AutoTuneChoice {
   Policy policy = Policy::kFifo;
   sparse::idx_t max_width = 0;   // adopted SymbolicOptions::max_width
   /// Adopted block-to-process mapping (stage 3 of the pilot search; the
-  /// configured mapping unless a cyclic grid measured strictly faster).
+  /// configured mapping unless another measured strictly faster).
   symbolic::Mapping::Kind mapping = symbolic::Mapping::Kind::k2dBlockCyclic;
   /// Adopted GPU options: the configured thresholds, or the analytic
   /// model thresholds scaled by `offload_scale` when a pilot at that

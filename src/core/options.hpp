@@ -194,7 +194,9 @@ struct SolverOptions {
   ordering::Method ordering = ordering::Method::kNestedDissection;
   Variant variant = Variant::kFanOut;
   symbolic::SymbolicOptions symbolic{};
-  symbolic::Mapping::Kind mapping = symbolic::Mapping::Kind::k2dBlockCyclic;
+  /// Bottom subtrees on single ranks, the 2D grid above them (falls
+  /// back to plain 2D where no layer balances; DESIGN.md §4l).
+  symbolic::Mapping::Kind mapping = symbolic::Mapping::Kind::kSubtreeLayer;
   Policy policy = Policy::kFifo;
   GpuOptions gpu{};
   /// Cache-block / panel sizes for the CPU dense kernels the tasks run

@@ -7,8 +7,10 @@
 // Likewise the ordering and supernode partition those hashes were
 // captured on: the raw nested-dissection permutation (before
 // compute_ordering renumbered it in an etree postorder) and the old
-// relaxed-amalgamation thresholds; and the inbox rule they ran under
-// (progress() draining the whole inbox before any ready task runs).
+// relaxed-amalgamation thresholds; the inbox rule they ran under
+// (progress() draining the whole inbox before any ready task runs); and
+// the 2D block-cyclic map they were all captured on (the default became
+// the subtree layer later).
 #pragma once
 
 #include <utility>
@@ -41,11 +43,13 @@ struct OrderedProblem {
 };
 
 /// `a` pre-permuted with the raw nested-dissection ordering and `opts`
-/// set to keep it (natural ordering) and to amalgamate with the old
-/// (8, 0.15) thresholds: the supernode partition every golden captured
-/// before the etree postorder was factored on.
+/// set to keep it (natural ordering), to amalgamate with the old
+/// (8, 0.15) thresholds and to map 2D block-cyclically: the supernode
+/// partition and map every golden captured before the etree postorder
+/// was factored on.
 inline OrderedProblem legacy_ordered(const sparse::CscMatrix& a,
                                      core::SolverOptions opts = {}) {
+  opts.mapping = symbolic::Mapping::Kind::k2dBlockCyclic;
   opts.ordering = ordering::Method::kNatural;
   opts.symbolic.relax_small = 8;
   opts.symbolic.relax_ratio = 0.15;

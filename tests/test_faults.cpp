@@ -467,5 +467,32 @@ TEST(ChaosThreadedDrive, SurvivesTransferFailures) {
   EXPECT_EQ(r.device_bytes_left, 0u);
 }
 
+// The subtree-layer map (the default) under drops, duplicates and
+// reordering, in both drive modes. The layer keeps most signals on one
+// rank, so the remaining cross-rank traffic (the 2D top and the edges
+// into it) must still carry the recovery protocol.
+TEST(SubtreeLayerChaos, DriveModesSurviveTransientFaults) {
+  const auto a = sparse::thermal_proxy(0.005);
+  core::SolverOptions opts;
+  opts.mapping = symbolic::Mapping::Kind::kSubtreeLayer;
+  for (const bool threaded : {false, true}) {
+    SCOPED_TRACE(threaded ? "threaded" : "sequential");
+    const RunResult base =
+        run_solver(a, 8, threaded, pgas::FaultConfig{}, opts);
+    pgas::FaultConfig faults;
+    faults.enabled = true;
+    faults.seed = chaos_seed(41);
+    faults.drop_rate = 0.03;
+    faults.duplicate_rate = 0.03;
+    faults.reorder_rate = 0.10;
+    const RunResult r = run_solver(a, 8, threaded, faults, opts);
+    EXPECT_LT(r.residual, 1e-10) << "fault seed " << faults.seed;
+    expect_factor_matches(base, r);
+    EXPECT_GT(r.stats.retransmits, 0u) << "fault seed " << faults.seed;
+    EXPECT_GT(r.stats.duplicates_dropped, 0u) << "fault seed " << faults.seed;
+    EXPECT_EQ(r.device_bytes_left, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace sympack

@@ -24,7 +24,10 @@
 // a run with default SolverOptions produced end to end before progress
 // became arrival-ordered. Every one of those tables runs the runtime
 // with kLegacyProgress (drain the whole inbox); kGoldenArrival pins the
-// full defaults as they are, arrival-ordered progress included.
+// full defaults, arrival-ordered progress included, as they were before
+// the default map became the subtree layer. All of the tables above
+// pin the 2D block-cyclic map they were captured on;
+// kGoldenSubtreeLayer pins the defaults as they are.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -150,6 +153,7 @@ struct Golden {
   /// Default SolverOptions (but `policy` and `variant`) on the default
   /// progress rule, instead of the legacy harness (kGoldenFanIn rows).
   bool full_default = false;
+  symbolic::Mapping::Kind mapping = symbolic::Mapping::Kind::k2dBlockCyclic;
 };
 
 /// Options of a kGolden row: `policy` on the legacy transport.
@@ -316,6 +320,7 @@ core::SolverOptions fanin_opts(const Golden& g) {
                                             : legacy_opts(g.policy);
   opts.policy = g.policy;
   opts.variant = g.variant;
+  opts.mapping = g.mapping;
   return opts;
 }
 
@@ -370,15 +375,32 @@ TEST_P(GoldenFanInSchedule, HashMatchesCapture) {
 INSTANTIATE_TEST_SUITE_P(FanIn, GoldenFanInSchedule,
                          ::testing::ValuesIn(kGoldenFanIn), golden_name);
 
+constexpr auto kLayer = symbolic::Mapping::Kind::kSubtreeLayer;
+
+// Fan-in at the true defaults: the subtree-layer map. Captured when the
+// layer became the default (sequential drive, 8 ranks). Regenerate via
+// DISABLED_PrintFanInTable.
+const Golden kGoldenSubtreeLayerFanIn[] = {
+    {"thermal", core::Policy::kFifo, false, 0xe8ea55b041886d63ull, kFanIn, true,
+     kLayer},
+};
+
+INSTANTIATE_TEST_SUITE_P(SubtreeLayer, GoldenFanInSchedule,
+                         ::testing::ValuesIn(kGoldenSubtreeLayerFanIn),
+                         golden_name);
+
 TEST(GoldenScheduleTable, DISABLED_PrintFanInTable) {
-  for (const Golden& g : kGoldenFanIn) {
-    printf("    {\"%s\", core::Policy::k%s, %s, 0x%llxull, kFanIn%s},\n",
+  const auto print = [](const Golden& g) {
+    printf("    {\"%s\", core::Policy::k%s, %s, 0x%llxull, kFanIn%s%s},\n",
            g.proxy,
            g.policy == core::Policy::kFifo ? "Fifo" : "CriticalPath",
            g.faults ? "true" : "false",
            static_cast<unsigned long long>(run_fanin_golden(g)),
-           g.full_default ? ", true" : "");
-  }
+           g.full_default ? ", true" : "",
+           g.mapping == kLayer ? ", kLayer" : "");
+  };
+  for (const Golden& g : kGoldenFanIn) print(g);
+  for (const Golden& g : kGoldenSubtreeLayerFanIn) print(g);
 }
 
 // ------------------------------------------------------------------
@@ -535,6 +557,7 @@ struct DefaultGolden {
   std::uint64_t solve_hash;  // nrhs = 4
   bool legacy_order;         // factor legacy_ordered(proxy)
   pgas::Progress progress;   // runtime inbox rule the row was captured on
+  symbolic::Mapping::Kind mapping = symbolic::Mapping::Kind::k2dBlockCyclic;
 };
 
 const DefaultGolden kGoldenDefault[] = {
@@ -566,11 +589,27 @@ const DefaultGolden kGoldenArrival[] = {
      pgas::Progress::kArrival},
 };
 
+// Default SolverOptions and a default Runtime::Config as they are: the
+// subtree-layer map (bottom subtrees whole on one rank, the 2D grid
+// above them). Captured when the layer became the default; each hash
+// differs from its kGoldenArrival row, so the layer engages on every
+// proxy at 8 ranks.
+const DefaultGolden kGoldenSubtreeLayer[] = {
+    {"flan", 0x21b1e1983ea87bc7ull, 0xfb2bc7844bfd767full, false,
+     pgas::Progress::kArrival, kLayer},
+    {"bones", 0x3a8e579e6be600a1ull, 0x9f75fb0bf55b5a7full, false,
+     pgas::Progress::kArrival, kLayer},
+    {"thermal", 0x77ad4591618ed98bull, 0xce2dbd688f60e332ull, false,
+     pgas::Progress::kArrival, kLayer},
+};
+
 constexpr int kDefaultGoldenNrhs = 4;
 
 OrderedProblem default_problem(const DefaultGolden& g) {
-  return g.legacy_order ? legacy_problem(g.proxy, {})
-                        : OrderedProblem{proxy_matrix(g.proxy), {}};
+  core::SolverOptions opts;
+  opts.mapping = g.mapping;
+  return g.legacy_order ? legacy_problem(g.proxy, opts)
+                        : OrderedProblem{proxy_matrix(g.proxy), opts};
 }
 
 class GoldenDefaultSchedule : public ::testing::TestWithParam<DefaultGolden> {
@@ -615,10 +654,13 @@ INSTANTIATE_TEST_SUITE_P(FullDefault, GoldenDefaultSchedule,
 INSTANTIATE_TEST_SUITE_P(Arrival, GoldenDefaultSchedule,
                          ::testing::ValuesIn(kGoldenArrival),
                          default_golden_name);
+INSTANTIATE_TEST_SUITE_P(SubtreeLayer, GoldenDefaultSchedule,
+                         ::testing::ValuesIn(kGoldenSubtreeLayer),
+                         default_golden_name);
 
 TEST(GoldenScheduleTable, DISABLED_PrintDefaultTables) {
   const auto print = [](const DefaultGolden& g) {
-    printf("    {\"%s\", 0x%llxull, 0x%llxull, %s,\n     %s},\n", g.proxy,
+    printf("    {\"%s\", 0x%llxull, 0x%llxull, %s,\n     %s%s},\n", g.proxy,
            static_cast<unsigned long long>(
                run_golden(default_problem(g), /*faults=*/false, g.progress)),
            static_cast<unsigned long long>(
@@ -626,11 +668,13 @@ TEST(GoldenScheduleTable, DISABLED_PrintDefaultTables) {
                                 g.progress)),
            g.legacy_order ? "true" : "false",
            g.progress == kLegacyProgress ? "kLegacyProgress"
-                                         : "pgas::Progress::kArrival");
+                                         : "pgas::Progress::kArrival",
+           g.mapping == kLayer ? ", kLayer" : "");
   };
   for (const DefaultGolden& g : kGoldenDefault) print(g);
   for (const DefaultGolden& g : kGoldenFullDefault) print(g);
   for (const DefaultGolden& g : kGoldenArrival) print(g);
+  for (const DefaultGolden& g : kGoldenSubtreeLayer) print(g);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <tuple>
 
@@ -324,6 +325,64 @@ INSTANTIATE_TEST_SUITE_P(
                                                                   : "fanin";
       return n + (std::get<1>(info.param) ? "_threaded" : "_sequential");
     });
+
+// A NaN or infinite entry is a typed error naming the caller's entry, at
+// analysis and at refactorization, in both drive modes; a rejected
+// refactorize leaves the previous factor in service.
+class NonFiniteInput : public ::testing::TestWithParam<bool> {};  // threaded
+
+TEST_P(NonFiniteInput, NamesTheEntryAndKeepsTheFactor) {
+  pgas::Runtime::Config cfg = cluster(4);
+  cfg.threaded = GetParam();
+  pgas::Runtime rt(cfg);
+  const CscMatrix good = sparse::grid2d_laplacian(10, 10);
+  constexpr idx_t kColumn = 37;
+  const idx_t below = good.colptr()[kColumn] + 1;  // first off-diagonal
+  ASSERT_LT(below, good.colptr()[kColumn + 1]);
+  const idx_t row = good.rowind()[below];
+  ASSERT_NE(row, kColumn);
+
+  CscMatrix nan_entry = good;
+  nan_entry.values()[below] = std::nan("");
+  SymPackSolver solver(rt, SolverOptions{});
+  try {
+    solver.symbolic_factorize(nan_entry);
+    FAIL() << "symbolic_factorize() accepted a NaN";
+  } catch (const NonFiniteValueError& e) {
+    EXPECT_EQ(e.row(), row);
+    EXPECT_EQ(e.column(), kColumn);
+    const std::string where =
+        "(" + std::to_string(row) + ", " + std::to_string(kColumn) + ")";
+    EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+        << e.what();
+  }
+
+  solver.symbolic_factorize(good);
+  solver.factorize();
+  CscMatrix inf_entry = good;
+  for (idx_t p = good.colptr()[kColumn]; p < good.colptr()[kColumn + 1]; ++p) {
+    if (good.rowind()[p] == kColumn) {
+      inf_entry.values()[p] = std::numeric_limits<double>::infinity();
+    }
+  }
+  try {
+    solver.refactorize(inf_entry);
+    FAIL() << "refactorize() accepted an infinite diagonal";
+  } catch (const NonFiniteValueError& e) {
+    EXPECT_EQ(e.row(), kColumn);
+    EXPECT_EQ(e.column(), kColumn);
+    EXPECT_NE(std::string(e.what()).find("inf"), std::string::npos)
+        << e.what();
+  }
+  const auto b = sparse::rhs_for_ones(good);
+  EXPECT_LT(sparse::relative_residual(good, solver.solve(b), b), 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(DriveModes, NonFiniteInput, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "threaded"
+                                                         : "sequential");
+                         });
 
 TEST(Solver, MultipleRhs) {
   pgas::Runtime rt(cluster(4));

@@ -2,7 +2,8 @@
 // binaries): threaded-vs-sequential parity on the three paper proxy
 // generators across all four scheduling policies, seeded-interleaving
 // replay at the solver level, and the duplicate-signal device-leak
-// regression for FactorEngine::handle_signal.
+// regression for FactorEngine::handle_signal, and the fan-in aggregate
+// buffer release.
 //
 // Parity is *numeric*, not bitwise: the threaded schedule changes the
 // order scatter-adds fold update contributions into a block, so entries
@@ -51,6 +52,10 @@ struct FactorEngineTestPeer {
       if (!rf.device.is_null()) rank.deallocate(rf.device);
     });
     cache.clear();
+  }
+  /// Fan-in aggregate buffers rank `rank` still holds.
+  static std::size_t aggregate_entries(const FactorEngine& e, int rank) {
+    return e.per_rank_[rank].aggs.size();
   }
 };
 
@@ -383,8 +388,8 @@ TEST(ThreadedLeakRegression, DuplicateSignalDoesNotLeakDeviceMemory) {
   const auto ap = sparse::permute_symmetric(a, perm);
   const auto parent = ordering::elimination_tree(ap);
   const auto sym = symbolic::analyze(ap, parent, opts.symbolic);
-  const symbolic::Mapping mapping(rt.nranks(), opts.mapping);
-  const symbolic::TaskGraph tg(sym, mapping);
+  const symbolic::TaskGraph tg(
+      sym, symbolic::Mapping::build(rt.nranks(), opts.mapping, sym));
   const symbolic::ReplicatedSymbolicView sview(sym, tg, 0.0);
   const symbolic::ReplicatedTaskGraphView tgview(tg, sview);
   core::BlockStore store(sview, tgview, rt, /*numeric=*/true);
@@ -424,6 +429,41 @@ TEST(ThreadedLeakRegression, DuplicateSignalDoesNotLeakDeviceMemory) {
   // orphaned duplicate allocation shows up here.
   Peer::drain_cache(engine, rank);
   EXPECT_EQ(rt.device_bytes_in_use(rank.device()), 0u);
+}
+
+// Fan-in host memory: each producer's aggregate buffer is released as
+// soon as its contribution has been inlined, staged or applied, so none
+// survives the phase (they used to live until the engine was destroyed).
+TEST(ThreadedFanIn, AggregateBuffersReleasedInBothDriveModes) {
+  const auto a = sparse::grid3d_laplacian(6, 6, 6);
+  for (const bool threaded : {false, true}) {
+    SCOPED_TRACE(threaded ? "threaded" : "sequential");
+    pgas::Runtime rt(cluster(4, threaded));
+    core::SolverOptions opts;
+    opts.variant = core::Variant::kFanIn;
+    const auto perm = ordering::compute_ordering(a, opts.ordering);
+    const auto ap = sparse::permute_symmetric(a, perm);
+    const auto sym = symbolic::analyze(ap, ordering::elimination_tree(ap),
+                                       opts.symbolic);
+    const symbolic::TaskGraph tg(
+        sym, symbolic::Mapping::build(rt.nranks(), opts.mapping, sym));
+    const symbolic::ReplicatedSymbolicView sview(sym, tg, 0.0);
+    const symbolic::ReplicatedTaskGraphView tgview(tg, sview);
+    core::BlockStore store(sview, tgview, rt, /*numeric=*/true);
+    core::Offload offload(opts.gpu, rt, /*numeric=*/true);
+    store.assemble(ap);
+    core::FactorEngine engine(rt, sview, tgview, store, offload, opts);
+    using Peer = core::FactorEngineTestPeer;
+    std::size_t before = 0;
+    for (int r = 0; r < rt.nranks(); ++r) {
+      before += Peer::aggregate_entries(engine, r);
+    }
+    ASSERT_GT(before, 0u) << "no aggregated update in the run";
+    engine.run();
+    for (int r = 0; r < rt.nranks(); ++r) {
+      EXPECT_EQ(Peer::aggregate_entries(engine, r), 0u) << "rank " << r;
+    }
+  }
 }
 
 // Regression for a data race TSan flagged: events() handed out a
