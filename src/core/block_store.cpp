@@ -52,6 +52,22 @@ BlockStore::~BlockStore() {
   }
 }
 
+void BlockStore::rehome(const symbolic::TaskGraphView& tg) {
+  for (idx_t k = 0; k < sym_->num_snodes(); ++k) {
+    for (BlockSlot slot = 0; slot < base_[k + 1] - base_[k]; ++slot) {
+      const idx_t bid = base_[k] + slot;
+      const int owner = tg.owner(k, slot);
+      if (owner == owner_[bid]) continue;
+      if (numeric_) {
+        rt_->rank(owner_[bid]).deallocate(gptr_[bid]);
+        gptr_[bid] = rt_->rank(owner).allocate_host(bytes(bid));
+        data_[bid] = gptr_[bid].local<double>();
+      }
+      owner_[bid] = owner;
+    }
+  }
+}
+
 idx_t BlockStore::row_offset_in_block(idx_t k, BlockSlot slot,
                                       idx_t row) const {
   const auto& sn = sym_->snode(k);

@@ -4,10 +4,11 @@
 // remote ranks can rget() it one-sidedly (paper §3.4).
 //
 // Thread-safety (audited; see DESIGN.md "Threading memory model"): all
-// geometry (owner_, base_, nrows_, ncols_, pointers) is immutable after
-// construction. Block *data* is written only by the owner's thread; a
-// consumer rgets it only after the owner's signal RPC, and the inbox
-// mutex release/acquire on that RPC orders the write before the read.
+// geometry (owner_, base_, nrows_, ncols_, pointers) is immutable while
+// an engine runs (recovery rehomes blocks only between drives). Block
+// *data* is written only by the owner's thread; a consumer rgets it only
+// after the owner's signal RPC, and the inbox mutex release/acquire on
+// that RPC orders the write before the read.
 #pragma once
 
 #include <vector>
@@ -65,6 +66,13 @@ class BlockStore {
   /// protocol-only mode.
   void assemble_subset(const sparse::CscMatrix& a_permuted,
                        const std::vector<char>& select);
+
+  /// Move every block whose owner in `tg` differs from its current one
+  /// to the new owner: the buffer is freed on the old owner and a fresh
+  /// one allocated on the new. Recovery uses this after re-dealing a dead
+  /// rank's unfinished panels; the moved blocks are incomplete, so the
+  /// caller re-assembles them.
+  void rehome(const symbolic::TaskGraphView& tg);
 
   /// Gather the factor into a dense n x n lower-triangular matrix
   /// (column-major). Test/inspection helper for small problems.

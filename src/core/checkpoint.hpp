@@ -57,7 +57,9 @@ class CheckpointStore {
   void save(pgas::Rank& rank, idx_t bid);
 
   /// Recovery-side: pull `bid`'s replica back into the (wiped) store
-  /// block. `rank` is the rank driving recovery and takes the charge.
+  /// block — on its current owner, which after a hand-over may be the
+  /// holder itself. `rank` is the rank driving recovery and takes the
+  /// charge.
   void restore(pgas::Rank& rank, idx_t bid);
 
   /// True once save(bid) has completed at least once.
@@ -73,18 +75,33 @@ class CheckpointStore {
   Tracer* tracer_;
   std::vector<char> saved_;               // per-bid: replica is valid
   std::vector<pgas::GlobalPtr> copies_;   // per-bid replica (numeric only)
+  std::vector<int> holder_;  // per-bid: the buddy the replica was saved to
 };
 
 /// Hand-off from the solver's recovery loop into a fresh engine: which
 /// blocks were already complete when the rank died (their factor tasks
 /// are cut out of the re-driven DAG and their data is re-published from
-/// the restored store), and where the replicas live.
+/// the restored store), which pushed updates the survivors had already
+/// folded into their incomplete blocks, and where the replicas live.
 struct RecoveryContext {
   CheckpointStore* ckpt = nullptr;
   /// Per-block-id: 1 once the owning engine published the block. Marked
   /// during every attempt (so the *next* attempt knows what survived);
   /// consulted by the warm-start filters.
   std::vector<char> complete;
+  /// Per update task U_{s,j,t} (update_index): 1 once a pushed update
+  /// has been folded into its target block. A survivor's incomplete
+  /// blocks keep their data across a death, so these updates are cut out
+  /// of the next attempt like the completed sub-DAG; recovery clears the
+  /// marks of every block it re-assembles.
+  std::vector<char> applied;
+  /// Per panel j: update_index(j, 1, 1).
+  std::vector<std::size_t> update_base;
+  /// Flat index of U_{s,j,t}, blocks si >= ti >= 1 of panel j.
+  [[nodiscard]] std::size_t update_index(idx_t j, idx_t si, idx_t ti) const {
+    return update_base[static_cast<std::size_t>(j)] +
+           static_cast<std::size_t>(si * (si - 1) / 2 + ti - 1);
+  }
   /// Completed recovery attempts this phase (diagnostics).
   int attempt = 0;
 };

@@ -191,6 +191,9 @@ class FactorEngine {
   [[nodiscard]] bool complete(idx_t bid) const {
     return rec_ != nullptr && rec_->complete[bid] != 0;
   }
+  [[nodiscard]] bool applied(idx_t j, idx_t si, idx_t ti) const {
+    return rec_ != nullptr && rec_->applied[rec_->update_index(j, si, ti)] != 0;
+  }
 
   pgas::Step step(pgas::Rank& rank);
   void handle_signal(pgas::Rank& rank, const Signal& sig);

@@ -79,7 +79,7 @@ std::vector<std::vector<double>> SolveServer::drain() {
           attempt >= solver_->opts_.resilience.max_recoveries) {
         throw;
       }
-      solver_->recover_from_death(e);
+      solver_->recover_from_death(e, /*hand_over=*/false);
       ++solver_->rec_.attempt;
       // The failed attempt's engines hold partial sweep state keyed to
       // the dead drive; rebuild from scratch and restart every panel.
@@ -114,7 +114,8 @@ void SolveServer::run_sweeps(pgas::Runtime& rt, const std::vector<double>& bp,
                              bool overlap, int kStallLimit,
                              std::uint64_t seed) {
   const idx_t n = solver_->sym_.n();
-  if (!engines_[0]) {
+  if (!engines_[0] || engines_remaps_ != solver_->remaps_) {
+    engines_remaps_ = solver_->remaps_;
     for (auto& e : engines_) {
       e = std::make_unique<SolveEngine>(*solver_->rt_, *solver_->sview_,
                                         *solver_->tgview_, *solver_->store_,

@@ -91,6 +91,10 @@ class SolveServer {
   // Two engines so consecutive batches can ping-pong: while one runs
   // its backward sweep the other runs the next batch's forward sweep.
   std::unique_ptr<SolveEngine> engines_[2];
+  /// The solver's remap count the engines were built at: a recovery
+  /// that moved blocks (SymPackSolver::hand_over_blocks) makes them
+  /// stale.
+  std::uint64_t engines_remaps_ = 0;
   Stats stats_;
 };
 
