@@ -1,10 +1,11 @@
-// Future-work bench (paper §6): the analytical threshold framework and
-// cross-vendor portability. Prints the analytically derived per-op
-// thresholds for three device vendor presets, then compares factor time
-// under hand-tuned defaults vs analytic thresholds on the flan proxy.
-// Finally sweeps the CPU kernel-engine cache-block sizes (measured, not
-// modeled) and prints the best TileConfig to plug into
-// SolverOptions::kernel_tiles or the SYMPACK_TILE_* environment.
+// Future-work bench (paper §6): hardware-agnostic offload and
+// cross-vendor portability. Factors the flan proxy on each device vendor
+// preset with the default per-call offload rule, which reads every rate
+// from the machine model, so retargeting the vendor retunes the CPU/GPU
+// split without a tuning pass. Then sweeps the CPU kernel-engine
+// cache-block sizes (measured, not modeled) and prints the best
+// TileConfig to plug into SolverOptions::kernel_tiles or the
+// SYMPACK_TILE_* environment.
 //
 // Options: --scale 1.0 --nodes 4 --ppn 4 --tile-sweep --tile-problem 384
 //          --json PATH
@@ -23,51 +24,37 @@ int main(int argc, char** argv) {
   const int nodes = static_cast<int>(opts.get_int("nodes", 4));
   const int ppn = static_cast<int>(opts.get_int("ppn", 4));
 
-  std::printf("== Future work (paper §6): analytical offload thresholds ==\n");
-  support::AsciiTable thr(
-      {"vendor", "POTRF", "TRSM", "SYRK", "GEMM (elements)"});
-  for (const auto vendor :
-       {gpu::DeviceVendor::kNvidiaA100, gpu::DeviceVendor::kAmdMi250x,
-        gpu::DeviceVendor::kIntelPvc}) {
-    pgas::MachineModel model;
-    gpu::apply_device_vendor(model, vendor);
-    const auto t = gpu::analytic_thresholds(model);
-    thr.add_row({gpu::vendor_name(vendor), support::AsciiTable::fmt_int(t.potrf),
-                 support::AsciiTable::fmt_int(t.trsm),
-                 support::AsciiTable::fmt_int(t.syrk),
-                 support::AsciiTable::fmt_int(t.gemm)});
-  }
-  std::printf("%s", thr.to_string().c_str());
-
-  std::printf("\n-- hand-tuned defaults vs analytic thresholds (%s, %d "
-              "nodes) --\n",
+  std::printf("== Future work (paper §6): per-call offload on each vendor "
+              "(%s, %d nodes) ==\n",
               info.name.c_str(), nodes);
-  support::AsciiTable cmp({"vendor", "defaults (s)", "analytic (s)"});
+  support::AsciiTable cmp({"vendor", "factor sim (s)", "GPU calls",
+                           "CPU calls"});
   for (const auto vendor :
        {gpu::DeviceVendor::kNvidiaA100, gpu::DeviceVendor::kAmdMi250x,
         gpu::DeviceVendor::kIntelPvc}) {
-    std::vector<std::string> row = {gpu::vendor_name(vendor)};
-    for (const bool auto_tune : {false, true}) {
-      pgas::Runtime::Config cfg;
-      cfg.nranks = nodes * ppn;
-      cfg.ranks_per_node = ppn;
-      gpu::apply_device_vendor(cfg.model, vendor);
-      pgas::Runtime rt(cfg);
-      core::SolverOptions sopts;
-      sopts.numeric = false;
-      sopts.ordering = ordering::Method::kNatural;
-      sopts.gpu.auto_tune = auto_tune;
-      core::SymPackSolver solver(rt, sopts);
-      solver.symbolic_factorize(info.matrix);
-      solver.factorize();
-      row.push_back(support::AsciiTable::fmt(solver.report().factor_sim_s, 4));
+    pgas::Runtime::Config cfg;
+    cfg.nranks = nodes * ppn;
+    cfg.ranks_per_node = ppn;
+    gpu::apply_device_vendor(cfg.model, vendor);
+    pgas::Runtime rt(cfg);
+    core::SolverOptions sopts;
+    sopts.numeric = false;
+    sopts.ordering = ordering::Method::kNatural;
+    core::SymPackSolver solver(rt, sopts);
+    solver.symbolic_factorize(info.matrix);
+    solver.factorize();
+    const auto& r = solver.report();
+    std::uint64_t gpu_calls = 0, cpu_calls = 0;
+    for (int i = 0; i < 4; ++i) {
+      gpu_calls += r.total_ops.gpu[i];
+      cpu_calls += r.total_ops.cpu[i];
     }
-    cmp.add_row(row);
+    cmp.add_row({gpu::vendor_name(vendor),
+                 support::AsciiTable::fmt(r.factor_sim_s, 4),
+                 support::AsciiTable::fmt_int(gpu_calls),
+                 support::AsciiTable::fmt_int(cpu_calls)});
   }
   std::printf("%s", cmp.to_string().c_str());
-  std::printf("expected shape: analytic thresholds track the hand-tuned "
-              "defaults within a few percent on every vendor, without any "
-              "brute-force tuning pass.\n");
 
   if (opts.get_bool("tile-sweep", true)) {
     const int problem = static_cast<int>(opts.get_int("tile-problem", 384));

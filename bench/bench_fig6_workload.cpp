@@ -1,7 +1,7 @@
 // Figure 6 of the paper: number of BLAS/LAPACK calls executed on the CPU
 // vs the GPU, per operation (SYRK/GEMM/TRSM/POTRF), for a factorization
 // and solve of the Flan proxy with 4 UPC++ processes and 4 GPUs, default
-// offload thresholds. Only rank 0's counts are shown, as in the paper
+// per-call offload. Only rank 0's counts are shown, as in the paper
 // (plus the aggregate for reference).
 //
 // Options: --scale (default 1.0), --ranks 4
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   const auto info = bench::make_matrix("flan", scale);
   std::printf("== Figure 6: BLAS/LAPACK calls on CPU vs GPU ==\n");
-  std::printf("   %s (for %s), %d processes, 4 GPUs, default thresholds, "
+  std::printf("   %s (for %s), %d processes, 4 GPUs, default offload, "
               "factorization + solve\n",
               info.name.c_str(), info.paper_name.c_str(), ranks);
 

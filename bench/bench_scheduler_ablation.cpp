@@ -94,9 +94,8 @@ int main(int argc, char** argv) {
       core::Policy chosen = core::Policy::kFifo;
       sparse::idx_t chosen_width = 0;
       symbolic::Mapping::Kind chosen_mapping = core::SolverOptions{}.mapping;
-      double chosen_offload = 0.0;
       // What the old policy+width-only search would have picked: the
-      // best candidate with the default mapping and no offload retune.
+      // best candidate with the default mapping.
       double old_auto_s = 0.0;
       {
         pgas::Runtime::Config cfg;
@@ -115,11 +114,9 @@ int main(int argc, char** argv) {
           chosen = choice->policy;
           chosen_width = choice->max_width;
           chosen_mapping = choice->mapping;
-          chosen_offload = choice->offload_scale;
           old_auto_s = 1e300;
           for (const auto& cand : choice->candidates) {
-            if (cand.mapping == core::SolverOptions{}.mapping &&
-                cand.offload_scale == 0.0) {
+            if (cand.mapping == core::SolverOptions{}.mapping) {
               old_auto_s = std::min(old_auto_s, cand.sim_s);
             }
           }
@@ -127,17 +124,16 @@ int main(int argc, char** argv) {
       }
       row.push_back(support::AsciiTable::fmt(auto_s, 4));
       char chose[96];
-      std::snprintf(chose, sizeof chose, "%s/%lld/%s%s",
+      std::snprintf(chose, sizeof chose, "%s/%lld/%s",
                     core::policy_name(chosen).c_str(),
                     static_cast<long long>(chosen_width),
-                    symbolic::Mapping::kind_name(chosen_mapping),
-                    chosen_offload > 0.0 ? "/offload" : "");
+                    symbolic::Mapping::kind_name(chosen_mapping));
       row.push_back(chose);
       table.add_row(row);
 
       // Acceptance gates: within 5% of the best fixed policy, never
       // above the worst — and never above what the old policy+width-only
-      // auto search would have picked (the mapping/offload stages adopt
+      // auto search would have picked (the mapping stage adopts
       // strictly-better pilots only, so equality is the worst case).
       if (auto_s > 1.05 * best || auto_s > worst + 1e-12) {
         std::fprintf(stderr,
@@ -169,7 +165,6 @@ int main(int argc, char** argv) {
           .set("auto_policy", core::policy_name(chosen))
           .set("auto_max_width", static_cast<std::int64_t>(chosen_width))
           .set("auto_mapping", symbolic::Mapping::kind_name(chosen_mapping))
-          .set("auto_offload_scale", chosen_offload)
           .set("old_auto_s", old_auto_s)
           .set("auto_vs_best", best > 0 ? auto_s / best : 1.0)
           .set("auto_vs_default", fixed_s[0] > 0 ? auto_s / fixed_s[0] : 1.0);

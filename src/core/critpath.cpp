@@ -9,7 +9,6 @@
 #include <unordered_map>
 
 #include "core/solver.hpp"
-#include "gpu/autotune.hpp"
 #include "support/json.hpp"
 
 namespace sympack::core {
@@ -462,21 +461,18 @@ AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
 
   AutoTuneChoice choice;
   choice.mapping = base.mapping;
-  choice.gpu = base.gpu;
 
   // The kind of map the last pilot actually ran, and the one the current
   // choice runs: a subtree layer that fell back is the 2D grid.
   symbolic::Mapping::Kind built = choice.mapping;
   symbolic::Mapping::Kind chosen_built = choice.mapping;
   auto pilot = [&](Policy policy, sparse::idx_t width,
-                   symbolic::Mapping::Kind mapping, const GpuOptions& gpu,
-                   Tracer* tracer) -> double {
+                   symbolic::Mapping::Kind mapping, Tracer* tracer) -> double {
     pgas::Runtime rt(cluster);
     SolverOptions opts = base;
     opts.policy = policy;
     opts.symbolic.max_width = width;
     opts.mapping = mapping;
-    opts.gpu = gpu;
     // Protocol-only: full task/communication schedule, identical
     // simulated-time accounting, no numerics — so a pilot costs a tiny
     // fraction of a real factorization yet measures the exact simulated
@@ -492,14 +488,8 @@ AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
     return solver.report().factor_sim_s;
   };
   auto record = [&](Policy p, sparse::idx_t w, symbolic::Mapping::Kind m,
-                    double scale, double sim) {
-    AutoTuneCandidate c;
-    c.policy = p;
-    c.max_width = w;
-    c.mapping = m;
-    c.offload_scale = scale;
-    c.sim_s = sim;
-    choice.candidates.push_back(c);
+                    double sim) {
+    choice.candidates.push_back({p, w, m, sim});
   };
 
   const sparse::idx_t w0 = base.symbolic.max_width;
@@ -516,8 +506,8 @@ AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
       base.variant == Variant::kFanIn ? 1 : std::size(kPolicies);
   choice.pilot_sim_s = 1e300;
   for (const Policy p : std::span(kPolicies, npolicies)) {
-    const double t = pilot(p, w0, choice.mapping, choice.gpu, nullptr);
-    record(p, w0, choice.mapping, 0.0, t);
+    const double t = pilot(p, w0, choice.mapping, nullptr);
+    record(p, w0, choice.mapping, t);
     if (p == Policy::kFifo) choice.default_sim_s = t;
     if (t < choice.pilot_sim_s) {
       choice.pilot_sim_s = t;
@@ -535,9 +525,8 @@ AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
                                     w0 * 2};
     for (const sparse::idx_t w : widths) {
       if (w == w0) continue;
-      const double t = pilot(choice.policy, w, choice.mapping, choice.gpu,
-                             nullptr);
-      record(choice.policy, w, choice.mapping, 0.0, t);
+      const double t = pilot(choice.policy, w, choice.mapping, nullptr);
+      record(choice.policy, w, choice.mapping, t);
       if (t < choice.pilot_sim_s) {
         choice.pilot_sim_s = t;
         choice.max_width = w;
@@ -562,9 +551,8 @@ AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
         symbolic::Mapping::Kind::kColCyclic};
     for (const auto m : kMappings) {
       if (m == choice.mapping || m == chosen_built) continue;
-      const double t = pilot(choice.policy, choice.max_width, m, choice.gpu,
-                             nullptr);
-      record(choice.policy, choice.max_width, m, 0.0, t);
+      const double t = pilot(choice.policy, choice.max_width, m, nullptr);
+      record(choice.policy, choice.max_width, m, t);
       if (t < choice.pilot_sim_s) {
         choice.pilot_sim_s = t;
         choice.mapping = m;
@@ -573,42 +561,10 @@ AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
     }
   }
 
-  // Stage 4: GPU offload thresholds. Candidates are the machine model's
-  // analytic crossovers (gpu/autotune.hpp) scaled by {0.5, 1, 2} —
-  // the scale sweeps offload aggressiveness around the modeled
-  // break-even point, and the pilot measures the real schedule effect
-  // (offload changes task durations and with them the critical path).
-  // Skipped entirely when the GPU is disabled: the thresholds are dead
-  // knobs there and every pilot would measure the same schedule.
-  if (base.gpu.enabled) {
-    const gpu::Thresholds an = gpu::analytic_thresholds(cluster.model);
-    for (const double scale : {0.5, 1.0, 2.0}) {
-      GpuOptions g = base.gpu;
-      g.auto_tune = false;  // thresholds are fully specified below
-      const auto scaled = [scale](std::int64_t v) {
-        return static_cast<std::int64_t>(static_cast<double>(v) * scale);
-      };
-      g.potrf_threshold = scaled(an.potrf);
-      g.trsm_threshold = scaled(an.trsm);
-      g.syrk_threshold = scaled(an.syrk);
-      g.gemm_threshold = scaled(an.gemm);
-      g.device_resident_threshold = scaled(an.trsm);
-      const double t = pilot(choice.policy, choice.max_width, choice.mapping,
-                             g, nullptr);
-      record(choice.policy, choice.max_width, choice.mapping, scale, t);
-      if (t < choice.pilot_sim_s) {
-        choice.pilot_sim_s = t;
-        choice.gpu = g;
-        choice.offload_scale = scale;
-      }
-    }
-  }
-
   // Final traced pilot at the chosen configuration: the analysis that
   // explains *why* this schedule won (autotune_choice()->report).
   Tracer tracer;
-  (void)pilot(choice.policy, choice.max_width, choice.mapping, choice.gpu,
-              &tracer);
+  (void)pilot(choice.policy, choice.max_width, choice.mapping, &tracer);
   CritPathAnalyzer analyzer(tracer.events());
   choice.report = analyzer.analyze();
   return choice;

@@ -34,14 +34,14 @@
 // numerics) through a greedy sequence of search stages on a fresh
 // simulated runtime with the same cluster shape: (1) every fixed
 // scheduling policy at the configured split width, (2) split widths
-// around the configured one under the winning policy, (3) the
+// around the configured one under the winning policy, and (3) the
 // block-to-process mappings (subtree layer / 2D block-cyclic /
-// row-cyclic / col-cyclic), and (4) GPU offload thresholds seeded from
-// gpu::analytic_thresholds scaled by {0.5, 1, 2}. Stages 3 and 4 adopt a
-// candidate only when its pilot is *strictly* faster, so the chosen
-// configuration is never slower (in simulated time) than the best fixed
-// policy at the configured width — nor than what the policy+width search
-// alone would have picked.
+// row-cyclic / col-cyclic). Stage 3 adopts a candidate only when its
+// pilot is *strictly* faster, so the chosen configuration is never
+// slower (in simulated time) than the best fixed policy at the
+// configured width — nor than what the policy+width search alone would
+// have picked. GPU offload is not searched: every kernel call is placed
+// by the machine model (core/offload.hpp).
 #pragma once
 
 #include <cstdint>
@@ -130,10 +130,6 @@ struct AutoTuneCandidate {
   Policy policy = Policy::kFifo;
   sparse::idx_t max_width = 0;
   symbolic::Mapping::Kind mapping = symbolic::Mapping::Kind::k2dBlockCyclic;
-  /// GPU offload-threshold candidate: 0 = the configured GpuOptions
-  /// thresholds, otherwise gpu::analytic_thresholds(model) scaled by
-  /// this factor (< 1 offloads more aggressively, > 1 more selectively).
-  double offload_scale = 0.0;
   double sim_s = 0.0;
 };
 
@@ -144,11 +140,6 @@ struct AutoTuneChoice {
   /// Adopted block-to-process mapping (stage 3 of the pilot search; the
   /// configured mapping unless another measured strictly faster).
   symbolic::Mapping::Kind mapping = symbolic::Mapping::Kind::k2dBlockCyclic;
-  /// Adopted GPU options: the configured thresholds, or the analytic
-  /// model thresholds scaled by `offload_scale` when a pilot at that
-  /// scale measured strictly faster (offload_scale stays 0 otherwise).
-  GpuOptions gpu{};
-  double offload_scale = 0.0;
   double pilot_sim_s = 0.0;      // winner's pilot makespan
   double default_sim_s = 0.0;    // FIFO at the configured width
   CritPathReport report;         // winner's critical-path analysis

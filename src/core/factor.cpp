@@ -166,13 +166,14 @@ pgas::Step FactorEngine::step(pgas::Rank& rank) {
   for (const Signal& sig : sigs) handle_signal(rank, sig);
   worked += static_cast<int>(sigs.size());
 
+  const bool progressed = !sigs.empty() || !pr.rtq.empty();
   if (!pr.rtq.empty()) {
     execute(rank, pr.rtq.pop());
     ++worked;
   }
 
   if (worked > 0) {
-    net_.on_worked(rank.id());
+    net_.on_worked(rank.id(), progressed);
     return pgas::Step::kWorked;
   }
 
@@ -180,7 +181,7 @@ pgas::Step FactorEngine::step(pgas::Rank& rank) {
   // rather than waiting out the age window (latency bound; also
   // guarantees nothing is parked when this rank declares itself done).
   if (rank.flush_signals() > 0) {
-    net_.on_worked(rank.id());
+    net_.on_worked(rank.id(), /*progressed=*/false);
     return pgas::Step::kWorked;
   }
 

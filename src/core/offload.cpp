@@ -1,67 +1,81 @@
 #include "core/offload.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 namespace sympack::core {
 
 namespace {
 constexpr std::size_t idx(gpu::Op op) { return static_cast<std::size_t>(op); }
+
+std::size_t doubles(std::int64_t rows, std::int64_t cols) {
+  return sizeof(double) * static_cast<std::size_t>(rows * cols);
+}
 }  // namespace
 
 Offload::Offload(const GpuOptions& opts, pgas::Runtime& rt, bool numeric)
     : opts_(opts), rt_(&rt), devices_(rt), numeric_(numeric),
-      counts_(rt.nranks()) {
-  if (opts_.auto_tune) {
-    const auto t = gpu::analytic_thresholds(rt.model());
-    opts_.potrf_threshold = t.potrf;
-    opts_.trsm_threshold = t.trsm;
-    opts_.syrk_threshold = t.syrk;
-    opts_.gemm_threshold = t.gemm;
-    opts_.device_resident_threshold = t.trsm;
-  }
-}
-
-bool Offload::should_offload(gpu::Op op, std::int64_t elems) const {
-  if (!opts_.enabled) return false;
-  switch (op) {
-    case gpu::Op::kPotrf: return elems >= opts_.potrf_threshold;
-    case gpu::Op::kTrsm: return elems >= opts_.trsm_threshold;
-    case gpu::Op::kSyrk: return elems >= opts_.syrk_threshold;
-    case gpu::Op::kGemm: return elems >= opts_.gemm_threshold;
-  }
-  return false;
-}
+      counts_(rt.nranks()) {}
 
 bool Offload::device_resident(std::int64_t elems) const {
   return opts_.enabled && elems >= opts_.device_resident_threshold;
 }
 
-Offload::GpuPlan Offload::plan(pgas::Rank& rank, gpu::Op op,
-                               std::int64_t elems, std::size_t scratch_bytes) {
-  GpuPlan p;
-  if (!should_offload(op, elems)) return p;
-  p.scratch = rank.allocate_device(scratch_bytes, /*nothrow=*/true);
-  if (p.scratch.is_null()) {
+bool Offload::offloads(const Call& c) const {
+  if (!opts_.enabled) return false;
+  const std::optional<std::int64_t>* threshold = nullptr;
+  switch (c.op) {
+    case gpu::Op::kPotrf: threshold = &opts_.potrf_threshold; break;
+    case gpu::Op::kTrsm: threshold = &opts_.trsm_threshold; break;
+    case gpu::Op::kSyrk: threshold = &opts_.syrk_threshold; break;
+    case gpu::Op::kGemm: threshold = &opts_.gemm_threshold; break;
+  }
+  if (threshold->has_value()) return c.elems >= **threshold;
+  // The device path's own charges: launch, kernel, each staged copy in,
+  // the result copied back.
+  const pgas::MachineModel& m = rt_->model();
+  double device_s = m.gpu_launch_s + gpu::gpu_kernel_time(m, c.op, c.flops) +
+                    m.hd_copy_time(c.out);
+  for (int i = 0; i < c.staged; ++i) device_s += m.hd_copy_time(c.in[i]);
+  return device_s < gpu::cpu_kernel_time(m, c.op, c.flops);
+}
+
+template <typename Host, typename Dev>
+void Offload::run(pgas::Rank& rank, const Call& c, Host&& host,
+                  Dev&& device) {
+  pgas::GlobalPtr scratch;
+  if (offloads(c) && !(scratch = reserve(rank, c.scratch)).is_null()) {
+    for (int i = 0; i < c.staged; ++i) charge_stage(rank, c.in[i]);
+    auto& dev = devices_.device_for(rank);
+    if (numeric_) {
+      device(dev);
+    } else {
+      rank.merge_clock(dev.submit(c.op, c.flops, rank.now()));
+    }
+    // Result copied back to host memory, then the scratch is released.
+    charge_stage(rank, c.out);
+    rank.deallocate(scratch);
+    ++counts_[rank.id()].gpu[idx(c.op)];
+    return;
+  }
+  if (numeric_) host();
+  rank.advance(gpu::cpu_kernel_time(rt_->model(), c.op, c.flops));
+  ++counts_[rank.id()].cpu[idx(c.op)];
+}
+
+pgas::GlobalPtr Offload::reserve(pgas::Rank& rank, std::size_t bytes) {
+  pgas::GlobalPtr scratch = rank.allocate_device(bytes, /*nothrow=*/true);
+  if (scratch.is_null()) {
     // Device segment exhausted: apply the configured fallback (§4.2).
     if (opts_.fallback == GpuFallback::kThrow) {
       throw pgas::DeviceOom("device scratch allocation failed (" +
-                            std::to_string(scratch_bytes) + " B)");
+                            std::to_string(bytes) + " B)");
     }
     fallbacks_.fetch_add(1, std::memory_order_relaxed);
     ++rank.stats().oom_fallbacks;
-    return p;  // use_gpu stays false -> CPU path
   }
-  p.use_gpu = true;
-  return p;
-}
-
-void Offload::finish(pgas::Rank& rank, GpuPlan& plan,
-                     std::size_t result_bytes) {
-  // Result copied back to host memory, then the scratch is released.
-  charge_stage(rank, result_bytes);
-  rank.deallocate(plan.scratch);
-  plan.scratch = pgas::GlobalPtr{};
+  return scratch;
 }
 
 void Offload::charge_stage(pgas::Rank& rank, std::size_t bytes) {
@@ -76,197 +90,131 @@ void Offload::charge_scatter(pgas::Rank& rank, std::size_t bytes) {
 }
 
 int Offload::run_potrf(pgas::Rank& rank, int w, double* a, int lda) {
-  const std::int64_t elems = static_cast<std::int64_t>(w) * w;
-  const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(elems);
-  const double flops = static_cast<double>(blas::potrf_flops(w));
-  GpuPlan p = plan(rank, gpu::Op::kPotrf, elems, bytes);
+  const std::size_t bytes = doubles(w, w);
+  Call c{gpu::Op::kPotrf, static_cast<double>(blas::potrf_flops(w)),
+         static_cast<std::int64_t>(w) * w, bytes, bytes};
+  c.stage(bytes);  // diagonal block host -> device
   int info = 0;
-  if (p.use_gpu) {
-    charge_stage(rank, bytes);  // diagonal block host -> device
-    auto& dev = devices_.device_for(rank);
-    if (numeric_) {
-      info = gpu::dev_potrf(rank, dev, blas::UpLo::kLower, w, a, lda);
-    } else {
-      rank.merge_clock(dev.submit(gpu::Op::kPotrf, flops, rank.now()));
-    }
-    finish(rank, p, bytes);
-    ++counts_[rank.id()].gpu[idx(gpu::Op::kPotrf)];
-  } else {
-    if (numeric_) info = blas::potrf(blas::UpLo::kLower, w, a, lda);
-    rank.advance(gpu::cpu_kernel_time(rt_->model(), gpu::Op::kPotrf, flops));
-    ++counts_[rank.id()].cpu[idx(gpu::Op::kPotrf)];
-  }
+  run(
+      rank, c, [&] { info = blas::potrf(blas::UpLo::kLower, w, a, lda); },
+      [&](gpu::Device& dev) {
+        info = gpu::dev_potrf(rank, dev, blas::UpLo::kLower, w, a, lda);
+      });
   return info;
 }
 
 void Offload::run_trsm(pgas::Rank& rank, int m, int w, const double* diag,
                        int ldd, double* b, int ldb, bool diag_resident) {
-  const std::int64_t elems = static_cast<std::int64_t>(m) * w;
-  const std::size_t b_bytes = sizeof(double) * static_cast<std::size_t>(elems);
-  const std::size_t d_bytes =
-      sizeof(double) * static_cast<std::size_t>(w) * w;
-  const double flops =
-      static_cast<double>(blas::trsm_flops(blas::Side::kRight, m, w));
-  GpuPlan p = plan(rank, gpu::Op::kTrsm, elems, b_bytes + d_bytes);
-  if (p.use_gpu) {
-    charge_stage(rank, b_bytes);
-    if (!diag_resident) charge_stage(rank, d_bytes);
-    auto& dev = devices_.device_for(rank);
-    if (numeric_) {
-      gpu::dev_trsm(rank, dev, blas::Side::kRight, blas::UpLo::kLower,
-                    blas::Trans::kYes, blas::Diag::kNonUnit, m, w, 1.0, diag,
-                    ldd, b, ldb);
-    } else {
-      rank.merge_clock(dev.submit(gpu::Op::kTrsm, flops, rank.now()));
-    }
-    finish(rank, p, b_bytes);
-    ++counts_[rank.id()].gpu[idx(gpu::Op::kTrsm)];
-  } else {
-    if (numeric_) {
-      blas::trsm(blas::Side::kRight, blas::UpLo::kLower, blas::Trans::kYes,
-                 blas::Diag::kNonUnit, m, w, 1.0, diag, ldd, b, ldb);
-    }
-    rank.advance(gpu::cpu_kernel_time(rt_->model(), gpu::Op::kTrsm, flops));
-    ++counts_[rank.id()].cpu[idx(gpu::Op::kTrsm)];
-  }
+  const std::size_t b_bytes = doubles(m, w);
+  const std::size_t d_bytes = doubles(w, w);
+  Call c{gpu::Op::kTrsm,
+         static_cast<double>(blas::trsm_flops(blas::Side::kRight, m, w)),
+         static_cast<std::int64_t>(m) * w, b_bytes + d_bytes, b_bytes};
+  c.stage(b_bytes);
+  if (!diag_resident) c.stage(d_bytes);
+  run(
+      rank, c,
+      [&] {
+        blas::trsm(blas::Side::kRight, blas::UpLo::kLower, blas::Trans::kYes,
+                   blas::Diag::kNonUnit, m, w, 1.0, diag, ldd, b, ldb);
+      },
+      [&](gpu::Device& dev) {
+        gpu::dev_trsm(rank, dev, blas::Side::kRight, blas::UpLo::kLower,
+                      blas::Trans::kYes, blas::Diag::kNonUnit, m, w, 1.0,
+                      diag, ldd, b, ldb);
+      });
 }
 
 void Offload::run_syrk(pgas::Rank& rank, int n, int k, const double* a,
                        int lda, double* c, int ldc, bool a_resident) {
-  const std::int64_t elems = static_cast<std::int64_t>(n) * k;
-  const std::size_t a_bytes = sizeof(double) * static_cast<std::size_t>(elems);
-  const std::size_t c_bytes =
-      sizeof(double) * static_cast<std::size_t>(n) * n;
-  const double flops = static_cast<double>(blas::syrk_flops(n, k));
-  GpuPlan p = plan(rank, gpu::Op::kSyrk, elems, a_bytes + c_bytes);
-  if (p.use_gpu) {
-    if (!a_resident) charge_stage(rank, a_bytes);
-    charge_stage(rank, c_bytes);
-    auto& dev = devices_.device_for(rank);
-    if (numeric_) {
-      gpu::dev_syrk(rank, dev, blas::UpLo::kLower, blas::Trans::kNo, n, k,
-                    -1.0, a, lda, 1.0, c, ldc);
-    } else {
-      rank.merge_clock(dev.submit(gpu::Op::kSyrk, flops, rank.now()));
-    }
-    finish(rank, p, c_bytes);
-    ++counts_[rank.id()].gpu[idx(gpu::Op::kSyrk)];
-  } else {
-    if (numeric_) {
-      blas::syrk(blas::UpLo::kLower, blas::Trans::kNo, n, k, -1.0, a, lda,
-                 1.0, c, ldc);
-    }
-    rank.advance(gpu::cpu_kernel_time(rt_->model(), gpu::Op::kSyrk, flops));
-    ++counts_[rank.id()].cpu[idx(gpu::Op::kSyrk)];
-  }
+  const std::size_t a_bytes = doubles(n, k);
+  const std::size_t c_bytes = doubles(n, n);
+  Call call{gpu::Op::kSyrk, static_cast<double>(blas::syrk_flops(n, k)),
+            static_cast<std::int64_t>(n) * k, a_bytes + c_bytes, c_bytes};
+  if (!a_resident) call.stage(a_bytes);
+  call.stage(c_bytes);
+  run(
+      rank, call,
+      [&] {
+        blas::syrk(blas::UpLo::kLower, blas::Trans::kNo, n, k, -1.0, a, lda,
+                   1.0, c, ldc);
+      },
+      [&](gpu::Device& dev) {
+        gpu::dev_syrk(rank, dev, blas::UpLo::kLower, blas::Trans::kNo, n, k,
+                      -1.0, a, lda, 1.0, c, ldc);
+      });
 }
 
 void Offload::run_gemm(pgas::Rank& rank, int m, int n, int k, const double* a,
                        int lda, const double* b, int ldb, double* c, int ldc,
                        bool a_resident, bool b_resident) {
-  const std::int64_t elems =
-      std::max<std::int64_t>(static_cast<std::int64_t>(m) * k,
-                             static_cast<std::int64_t>(n) * k);
-  const std::size_t a_bytes =
-      sizeof(double) * static_cast<std::size_t>(m) * k;
-  const std::size_t b_bytes =
-      sizeof(double) * static_cast<std::size_t>(n) * k;
-  const std::size_t c_bytes =
-      sizeof(double) * static_cast<std::size_t>(m) * n;
-  const double flops = static_cast<double>(blas::gemm_flops(m, n, k));
-  GpuPlan p = plan(rank, gpu::Op::kGemm, elems, a_bytes + b_bytes + c_bytes);
-  if (p.use_gpu) {
-    if (!a_resident) charge_stage(rank, a_bytes);
-    if (!b_resident) charge_stage(rank, b_bytes);
-    auto& dev = devices_.device_for(rank);
-    if (numeric_) {
-      gpu::dev_gemm(rank, dev, blas::Trans::kNo, blas::Trans::kYes, m, n, k,
-                    1.0, a, lda, b, ldb, 0.0, c, ldc);
-    } else {
-      rank.merge_clock(dev.submit(gpu::Op::kGemm, flops, rank.now()));
-    }
-    finish(rank, p, c_bytes);
-    ++counts_[rank.id()].gpu[idx(gpu::Op::kGemm)];
-  } else {
-    if (numeric_) {
-      blas::gemm(blas::Trans::kNo, blas::Trans::kYes, m, n, k, 1.0, a, lda, b,
-                 ldb, 0.0, c, ldc);
-    }
-    rank.advance(gpu::cpu_kernel_time(rt_->model(), gpu::Op::kGemm, flops));
-    ++counts_[rank.id()].cpu[idx(gpu::Op::kGemm)];
-  }
+  const std::size_t a_bytes = doubles(m, k);
+  const std::size_t b_bytes = doubles(n, k);
+  const std::size_t c_bytes = doubles(m, n);
+  Call call{gpu::Op::kGemm, static_cast<double>(blas::gemm_flops(m, n, k)),
+            static_cast<std::int64_t>(std::max(m, n)) * k,
+            a_bytes + b_bytes + c_bytes, c_bytes};
+  if (!a_resident) call.stage(a_bytes);
+  if (!b_resident) call.stage(b_bytes);
+  run(
+      rank, call,
+      [&] {
+        blas::gemm(blas::Trans::kNo, blas::Trans::kYes, m, n, k, 1.0, a, lda,
+                   b, ldb, 0.0, c, ldc);
+      },
+      [&](gpu::Device& dev) {
+        gpu::dev_gemm(rank, dev, blas::Trans::kNo, blas::Trans::kYes, m, n, k,
+                      1.0, a, lda, b, ldb, 0.0, c, ldc);
+      });
 }
 
 void Offload::run_trsm_left(pgas::Rank& rank, bool transposed, int n,
                             int nrhs, const double* diag, int ldd, double* x,
                             int ldx) {
-  // The offload decision keys on the RHS panel (the buffer the solve
-  // actually computes on): with one right-hand side these stay on the
-  // CPU, with blocked RHS the GPU pays off — matching the hybrid
-  // behaviour of the paper's tuned thresholds.
+  // An explicit threshold keys on the RHS panel (the buffer the solve
+  // computes on), so thin solves stay on the CPU under it.
   const std::int64_t elems = static_cast<std::int64_t>(n) * nrhs;
-  const std::size_t d_bytes = sizeof(double) * static_cast<std::size_t>(elems);
-  const std::size_t x_bytes =
-      sizeof(double) * static_cast<std::size_t>(n) * nrhs;
-  const double flops = static_cast<double>(nrhs) * n * n;
+  const std::size_t d_bytes = doubles(n, nrhs);
+  const std::size_t x_bytes = doubles(n, nrhs);
+  Call c{gpu::Op::kTrsm, static_cast<double>(nrhs) * n * n, elems,
+         d_bytes + x_bytes, x_bytes};
+  c.stage(d_bytes + x_bytes);
   const auto trans = transposed ? blas::Trans::kYes : blas::Trans::kNo;
-  GpuPlan p = plan(rank, gpu::Op::kTrsm, elems, d_bytes + x_bytes);
-  if (p.use_gpu) {
-    charge_stage(rank, d_bytes + x_bytes);
-    auto& dev = devices_.device_for(rank);
-    if (numeric_) {
-      gpu::dev_trsm(rank, dev, blas::Side::kLeft, blas::UpLo::kLower, trans,
-                    blas::Diag::kNonUnit, n, nrhs, 1.0, diag, ldd, x, ldx);
-    } else {
-      rank.merge_clock(dev.submit(gpu::Op::kTrsm, flops, rank.now()));
-    }
-    finish(rank, p, x_bytes);
-    ++counts_[rank.id()].gpu[idx(gpu::Op::kTrsm)];
-  } else {
-    if (numeric_) {
-      blas::trsm(blas::Side::kLeft, blas::UpLo::kLower, trans,
-                 blas::Diag::kNonUnit, n, nrhs, 1.0, diag, ldd, x, ldx);
-    }
-    rank.advance(gpu::cpu_kernel_time(rt_->model(), gpu::Op::kTrsm, flops));
-    ++counts_[rank.id()].cpu[idx(gpu::Op::kTrsm)];
-  }
+  run(
+      rank, c,
+      [&] {
+        blas::trsm(blas::Side::kLeft, blas::UpLo::kLower, trans,
+                   blas::Diag::kNonUnit, n, nrhs, 1.0, diag, ldd, x, ldx);
+      },
+      [&](gpu::Device& dev) {
+        gpu::dev_trsm(rank, dev, blas::Side::kLeft, blas::UpLo::kLower, trans,
+                      blas::Diag::kNonUnit, n, nrhs, 1.0, diag, ldd, x, ldx);
+      });
 }
 
 void Offload::run_gemm_any(pgas::Rank& rank, blas::Trans trans_a, int m,
                            int n, int k, double alpha, const double* a,
                            int lda, const double* b, int ldb, double beta,
                            double* c, int ldc) {
-  // Like run_trsm_left: key on the RHS/solution panels (n = nrhs here),
-  // not on the factor block, so thin solves stay on the CPU.
-  const std::int64_t elems =
-      static_cast<std::int64_t>(std::max(m, k)) * n;
-  const std::size_t a_bytes =
-      sizeof(double) * static_cast<std::size_t>(m) * k;
-  const std::size_t b_bytes =
-      sizeof(double) * static_cast<std::size_t>(k) * n;
-  const std::size_t c_bytes =
-      sizeof(double) * static_cast<std::size_t>(m) * n;
-  const double flops = static_cast<double>(blas::gemm_flops(m, n, k));
-  GpuPlan p = plan(rank, gpu::Op::kGemm, elems, a_bytes + b_bytes + c_bytes);
-  if (p.use_gpu) {
-    charge_stage(rank, a_bytes + b_bytes);
-    auto& dev = devices_.device_for(rank);
-    if (numeric_) {
-      gpu::dev_gemm(rank, dev, trans_a, blas::Trans::kNo, m, n, k, alpha, a,
-                    lda, b, ldb, beta, c, ldc);
-    } else {
-      rank.merge_clock(dev.submit(gpu::Op::kGemm, flops, rank.now()));
-    }
-    finish(rank, p, c_bytes);
-    ++counts_[rank.id()].gpu[idx(gpu::Op::kGemm)];
-  } else {
-    if (numeric_) {
-      blas::gemm(trans_a, blas::Trans::kNo, m, n, k, alpha, a, lda, b, ldb,
-                 beta, c, ldc);
-    }
-    rank.advance(gpu::cpu_kernel_time(rt_->model(), gpu::Op::kGemm, flops));
-    ++counts_[rank.id()].cpu[idx(gpu::Op::kGemm)];
-  }
+  // Like run_trsm_left: an explicit threshold keys on the RHS/solution
+  // panels (n = nrhs here), not on the factor block.
+  const std::size_t a_bytes = doubles(m, k);
+  const std::size_t b_bytes = doubles(k, n);
+  const std::size_t c_bytes = doubles(m, n);
+  Call call{gpu::Op::kGemm, static_cast<double>(blas::gemm_flops(m, n, k)),
+            static_cast<std::int64_t>(std::max(m, k)) * n,
+            a_bytes + b_bytes + c_bytes, c_bytes};
+  call.stage(a_bytes + b_bytes);
+  run(
+      rank, call,
+      [&] {
+        blas::gemm(trans_a, blas::Trans::kNo, m, n, k, alpha, a, lda, b, ldb,
+                   beta, c, ldc);
+      },
+      [&](gpu::Device& dev) {
+        gpu::dev_gemm(rank, dev, trans_a, blas::Trans::kNo, m, n, k, alpha, a,
+                      lda, b, ldb, beta, c, ldc);
+      });
 }
 
 OpCounts Offload::total_counts() const {

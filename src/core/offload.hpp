@@ -1,21 +1,23 @@
-// GPU offload heuristic and kernel execution (paper §4.2).
+// GPU offload decision and kernel execution (paper §4.2).
 //
-// Each of the four solver operations has a buffer-size threshold: large
-// computations go to the rank's bound device (cuBLAS/cuSolver stand-in),
-// small ones stay on the CPU. Offloaded kernels pay PCIe staging for any
-// operand not already resident in device memory, device scratch is
-// allocated for the operation (exercising the device-OOM fallback
-// options), and results are copied back to the host. All calls are
-// counted per rank to reproduce the paper's Fig. 6.
+// Each kernel call is placed by the machine model: it runs on the rank's
+// bound device (cuBLAS/cuSolver stand-in) iff launch + device kernel time
+// + the PCIe copies it would stage (operands not already resident in
+// device memory, then the result copied back) beat the CPU kernel time.
+// An explicit per-operation element threshold in GpuOptions overrides the
+// model for that operation. Offloaded kernels pay those copies, device
+// scratch is allocated for the operation (exercising the device-OOM
+// fallback options), and all calls are counted per rank to reproduce the
+// paper's Fig. 6.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <vector>
 
 #include "core/options.hpp"
 #include "core/report.hpp"
-#include "gpu/autotune.hpp"
 #include "gpu/devblas.hpp"
 #include "gpu/device.hpp"
 #include "pgas/runtime.hpp"
@@ -27,13 +29,6 @@ class Offload {
   Offload(const GpuOptions& opts, pgas::Runtime& rt, bool numeric);
 
   [[nodiscard]] bool gpu_enabled() const { return opts_.enabled; }
-
-  /// The options in effect (after auto-tuning, if requested).
-  [[nodiscard]] const GpuOptions& effective_options() const { return opts_; }
-
-  /// The size heuristic: should an op touching a buffer of `elems`
-  /// doubles run on the device?
-  [[nodiscard]] bool should_offload(gpu::Op op, std::int64_t elems) const;
 
   /// Should a factor block of `elems` doubles be fetched directly into
   /// device memory on arrival ("GPU block", paper §4.2)?
@@ -53,8 +48,8 @@ class Offload {
                 bool a_resident, bool b_resident);
 
   // Solve-phase kernels (the triangular solves of Figures 8/10/12 use
-  // the same offload heuristic; their calls land in the same Fig. 6
-  // TRSM/GEMM buckets).
+  // the same offload rule; their calls land in the same Fig. 6 TRSM/GEMM
+  // buckets).
   /// x := op(L)^{-1} x with L the n-by-n diagonal factor; op = transpose
   /// when `transposed` (backward substitution).
   void run_trsm_left(pgas::Rank& rank, bool transposed, int n, int nrhs,
@@ -81,16 +76,32 @@ class Offload {
   void reset_counters();
 
  private:
-  struct GpuPlan {
-    bool use_gpu = false;
-    pgas::GlobalPtr scratch;  // device scratch for the op
+  /// One kernel call as the offload decision and the device path see it.
+  struct Call {
+    gpu::Op op;
+    double flops;
+    std::int64_t elems;   // the key an explicit element threshold compares
+    std::size_t scratch;  // device scratch reserved while it runs
+    std::size_t out;      // result bytes copied back to the host
+    std::array<std::size_t, 2> in{};  // host -> device copies, in order
+    int staged = 0;                   // how many of `in` are used
+    void stage(std::size_t bytes) { in[staged++] = bytes; }
   };
 
-  /// Decide + reserve device scratch; applies the fallback policy on
-  /// device OOM.
-  GpuPlan plan(pgas::Rank& rank, gpu::Op op, std::int64_t elems,
-               std::size_t scratch_bytes);
-  void finish(pgas::Rank& rank, GpuPlan& plan, std::size_t result_bytes);
+  /// Should `c` run on the device? Reads only the call's shape and
+  /// residency (never the shared device clock), so placement is the same
+  /// in either drive mode.
+  [[nodiscard]] bool offloads(const Call& c) const;
+
+  /// Place and run `c`: `host()` does the CPU math, `device(dev)` the
+  /// device math; both are skipped in protocol-only runs, which charge
+  /// the same simulated time.
+  template <typename Host, typename Dev>
+  void run(pgas::Rank& rank, const Call& c, Host&& host, Dev&& device);
+
+  /// Device scratch for an offloaded call; null on device OOM under the
+  /// CPU fallback policy.
+  pgas::GlobalPtr reserve(pgas::Rank& rank, std::size_t bytes);
   void charge_stage(pgas::Rank& rank, std::size_t bytes);
 
   GpuOptions opts_;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "blas/kernels/tiling.hpp"
@@ -37,17 +38,17 @@ enum class GpuFallback { kCpu, kThrow };
 
 struct GpuOptions {
   bool enabled = true;
-  /// Derive the four thresholds analytically from the machine model at
-  /// solver construction (gpu/autotune.hpp, the paper's §6 future-work
-  /// framework) instead of using the hand-tuned defaults below.
-  bool auto_tune = false;
-  /// Per-operation offload thresholds, in *elements* of the operation's
-  /// largest buffer. Defaults reflect a brute-force tuning pass like the
-  /// paper's (§4.2); each can be overridden by the user.
-  std::int64_t potrf_threshold = 96 * 96;
-  std::int64_t trsm_threshold = 128 * 128;
-  std::int64_t syrk_threshold = 128 * 128;
-  std::int64_t gemm_threshold = 96 * 96;
+  /// Per-operation offload overrides, in *elements* of the operation's
+  /// largest buffer. Unset (the default), each call is placed by the
+  /// machine model: it runs on the device iff launch + device kernel time
+  /// + the PCIe copies of its non-resident operands and of its result
+  /// beat the CPU kernel time (core/offload.hpp). Set, the operation
+  /// offloads exactly the calls with at least this many elements (0 =
+  /// always, a huge value = never).
+  std::optional<std::int64_t> potrf_threshold;
+  std::optional<std::int64_t> trsm_threshold;
+  std::optional<std::int64_t> syrk_threshold;
+  std::optional<std::int64_t> gemm_threshold;
   /// Factor blocks at least this large (elements) are marked "GPU
   /// blocks" and fetched straight into device memory on the consumer
   /// (the paper's direct remote-host-to-device copy optimization).

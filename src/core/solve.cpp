@@ -170,6 +170,7 @@ pgas::Step SolveEngine::step(pgas::Rank& rank, bool backward) {
   const std::vector<Msg> msgs = net_.drain(me);
   for (const Msg& m : msgs) handle_msg(rank, m, backward);
   worked += static_cast<int>(msgs.size());
+  const bool progressed = !msgs.empty() || !pr.tasks.empty();
   if (!pr.tasks.empty()) {
     const Task task = pr.tasks.pop();
     rank.merge_clock(task.ready);
@@ -181,14 +182,14 @@ pgas::Step SolveEngine::step(pgas::Rank& rank, bool backward) {
     ++worked;
   }
   if (worked > 0) {
-    net_.on_worked(me);
+    net_.on_worked(me, progressed);
     return pgas::Step::kWorked;
   }
   // Nothing else to do: flush any coalesced signals still parked in the
   // outboxes so consumers are not starved (and termination can be
   // reached — a rank never reports done with signals still queued).
   if (rank.flush_signals() > 0) {
-    net_.on_worked(me);
+    net_.on_worked(me, /*progressed=*/false);
     return pgas::Step::kWorked;
   }
 

@@ -59,7 +59,7 @@ std::vector<std::vector<double>> SolveServer::drain() {
   const int w = conf <= 0 ? total : std::min(conf, total);
 
   pgas::Runtime& rt = *solver_->rt_;
-  rt.reset_clocks();
+  solver_->restart_clocks();
   std::vector<double> xp(static_cast<std::size_t>(n) * total, 0.0);
   const bool overlap = solver_->opts_.solve.server_overlap;
   constexpr int kStallLimit = 10000;

@@ -148,13 +148,13 @@ void SymPackSolver::symbolic_factorize(const sparse::CscMatrix& a) {
   // Resolve Policy::kAuto before the symbolic analysis consumes the
   // (possibly retuned) split width: run cheap protocol-only pilot
   // factorizations on a fresh runtime with the same cluster shape and
-  // adopt the policy/width — and, when a pilot measured them strictly
-  // faster, the block-to-process mapping and GPU offload thresholds —
-  // with the shortest simulated makespan (core/critpath.hpp). Faults are
-  // disabled in the pilots — they tune the healthy schedule, not a
-  // particular injected failure pattern. The adoption happens before the
-  // Mapping and Offload below are constructed, so the real factorization
-  // runs exactly the winning pilot's configuration.
+  // adopt the policy/width — and, when a pilot measured it strictly
+  // faster, the block-to-process mapping — with the shortest simulated
+  // makespan (core/critpath.hpp). Faults are disabled in the pilots —
+  // they tune the healthy schedule, not a particular injected failure
+  // pattern. The adoption happens before the Mapping and Offload below
+  // are constructed, so the real factorization runs exactly the winning
+  // pilot's configuration.
   if (opts_.policy == Policy::kAuto) {
     auto cluster = rt_->config();
     cluster.faults = {};
@@ -163,7 +163,6 @@ void SymPackSolver::symbolic_factorize(const sparse::CscMatrix& a) {
     opts_.policy = auto_choice_->policy;
     opts_.symbolic.max_width = auto_choice_->max_width;
     opts_.mapping = auto_choice_->mapping;
-    opts_.gpu = auto_choice_->gpu;
   }
 
   t0 = WallClock::now();
@@ -315,6 +314,11 @@ void SymPackSolver::refactorize(const sparse::CscMatrix& a) {
   factorize();
 }
 
+void SymPackSolver::restart_clocks() {
+  rt_->reset_clocks();
+  offload_->devices().reset();
+}
+
 std::vector<double> SymPackSolver::solve(const std::vector<double>& b,
                                          int nrhs) {
   if (!factorized_) throw std::logic_error("solve() requires factorize()");
@@ -332,7 +336,7 @@ std::vector<double> SymPackSolver::solve(const std::vector<double>& b,
   }
 
   const double t0 = support::WallClock::now();
-  rt_->reset_clocks();
+  restart_clocks();
   // Same recovery loop as factorize(): a kill landing in the solve phase
   // unwinds the engine, the victim's factor panels come back from the
   // buddies (all blocks are complete post-factorization), and the whole

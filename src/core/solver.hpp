@@ -144,6 +144,10 @@ class SymPackSolver {
   /// symbolic/task-graph/store internals directly.
   friend class SolveServer;
 
+  /// Start a solve phase at time zero: rank, NIC and device clocks, so
+  /// an offloaded kernel does not queue behind the previous phase's.
+  void restart_clocks();
+
   /// Rank-death recovery (DESIGN.md §4h): purge stale inboxes, resurrect
   /// the victim at the survivors' clock frontier plus the restart
   /// penalty, pull its completed blocks back from the buddy replicas,

@@ -164,13 +164,16 @@ class Endpoint {
     return !slots_[rank_id].inbox.empty();
   }
 
-  /// Call after a step that made progress: resets the idle streak and
-  /// the re-request backoff threshold.
-  void on_worked(int rank_id) {
+  /// Call after a step that did work: resets the idle streak and the
+  /// re-request backoff threshold. `progressed` says the step drained a
+  /// message or ran a task; only that restarts the death-scan count, so
+  /// survivors that merely serve each other's re-requests while waiting
+  /// on a dead rank still detect it on time.
+  void on_worked(int rank_id, bool progressed) {
     if (!recovery_) return;
     Slot& s = slots_[rank_id];
     s.idle_streak = 0;
-    s.death_scan_streak = 0;
+    if (progressed) s.death_scan_streak = 0;
     s.rerequest_threshold = fault_.rerequest_idle_limit;
   }
 

@@ -4,56 +4,9 @@
 #include <vector>
 
 #include "blas/blas.hpp"
-#include "gpu/device.hpp"
 #include "support/timer.hpp"
 
 namespace sympack::gpu {
-namespace {
-
-// Device-vs-CPU time for one op on a w-by-w-shaped call.
-// `staged_buffers` counts the w^2 operand/result transfers over PCIe.
-double device_time(const pgas::MachineModel& model, Op op, double flops,
-                   int staged_buffers, double bytes) {
-  return model.gpu_launch_s + gpu_kernel_time(model, op, flops) +
-         staged_buffers * model.hd_copy_time(static_cast<std::size_t>(bytes));
-}
-
-std::int64_t crossover(const pgas::MachineModel& model, Op op,
-                       double (*flops_of)(double), int staged_buffers) {
-  // Find the smallest w where the device path wins; threshold = w^2.
-  for (std::int64_t w = 4; w <= 4096; w += 4) {
-    const double flops = flops_of(static_cast<double>(w));
-    const double bytes = 8.0 * static_cast<double>(w) * static_cast<double>(w);
-    const double cpu = cpu_kernel_time(model, op, flops);
-    if (device_time(model, op, flops, staged_buffers, bytes) < cpu) {
-      return w * w;
-    }
-  }
-  // Device never wins (e.g. a pathological model): disable offload of
-  // this op with an unreachable threshold.
-  return static_cast<std::int64_t>(1) << 62;
-}
-
-}  // namespace
-
-Thresholds analytic_thresholds(const pgas::MachineModel& model) {
-  Thresholds t;
-  // POTRF: w^3/3 flops; the diagonal block is staged in and out.
-  t.potrf = crossover(
-      model, Op::kPotrf, +[](double w) { return w * w * w / 3.0; }, 2);
-  // TRSM (panel factorization, m ~= w): w^3 flops; panel in+out, diagonal
-  // factor in (often device-resident already — we charge it, erring on
-  // the conservative side).
-  t.trsm = crossover(
-      model, Op::kTrsm, +[](double w) { return w * w * w; }, 3);
-  // SYRK: n^2 k with n ~= k ~= w; source in, target scratch out.
-  t.syrk = crossover(
-      model, Op::kSyrk, +[](double w) { return w * w * w; }, 2);
-  // GEMM: 2 w^3; two operands in, result out.
-  t.gemm = crossover(
-      model, Op::kGemm, +[](double w) { return 2.0 * w * w * w; }, 3);
-  return t;
-}
 
 std::vector<TileTiming> sweep_tile_configs(int problem, int reps) {
   const int n = std::max(problem, 64);

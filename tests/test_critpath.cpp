@@ -332,33 +332,28 @@ TEST(AutoPolicy, NoWorseThanEveryFixedPolicy) {
   EXPECT_GE(choice->candidates.size(), 4u);  // all fixed policies piloted
   EXPECT_EQ(auto_solver->options().policy, choice->policy);
 
-  // The mapping and offload-threshold stages ran: the candidate list
-  // contains non-default mapping grids and analytic-threshold pilots,
-  // and whatever they measured, the adopted configuration is what the
-  // solver actually runs with.
+  // The mapping stage ran: the candidate list contains non-default
+  // mapping grids, and whatever they measured, the adopted configuration
+  // is what the solver actually runs with. Offload is not a search
+  // stage: the per-call model places every kernel.
   bool saw_mapping_pilot = false;
-  bool saw_offload_pilot = false;
   for (const auto& cand : choice->candidates) {
     if (cand.mapping != symbolic::Mapping::Kind::k2dBlockCyclic) {
       saw_mapping_pilot = true;
     }
-    if (cand.offload_scale > 0.0) saw_offload_pilot = true;
     // Greedy strictly-better adoption: no candidate beats the winner.
     EXPECT_GE(cand.sim_s, choice->pilot_sim_s - 1e-12);
   }
   EXPECT_TRUE(saw_mapping_pilot);
-  EXPECT_TRUE(saw_offload_pilot);
   EXPECT_EQ(auto_solver->options().mapping, choice->mapping);
-  EXPECT_EQ(auto_solver->options().gpu.gemm_threshold,
-            choice->gpu.gemm_threshold);
+  EXPECT_FALSE(auto_solver->options().gpu.gemm_threshold.has_value());
 
-  // Never-loses-to-the-old-auto: the mapping/offload stages only adopt
-  // strictly faster pilots, so the winner is at least as good as the
-  // best candidate restricted to the old (policy x width) search space.
+  // Never-loses-to-the-old-auto: the mapping stage only adopts strictly
+  // faster pilots, so the winner is at least as good as the best
+  // candidate restricted to the old (policy x width) search space.
   double old_auto = 1e300;
   for (const auto& cand : choice->candidates) {
-    if (cand.mapping == core::SolverOptions{}.mapping &&
-        cand.offload_scale == 0.0) {
+    if (cand.mapping == core::SolverOptions{}.mapping) {
       old_auto = std::min(old_auto, cand.sim_s);
     }
   }
@@ -422,7 +417,7 @@ TEST(AutoPolicy, SkipsTheGridPilotWhenTheLayerFellBack) {
 // ready queue FIFO whatever the policy says: the other policy pilots
 // would measure the same schedule again. Stage 1 pilots FIFO alone, and
 // the tuned factorization is the fixed-FIFO one at the adopted
-// width/mapping/offload configuration.
+// width/mapping configuration.
 TEST(AutoPolicy, FanInPilotsFifoOnly) {
   const auto a = sparse::thermal_proxy(0.02);
   auto make = [&](pgas::Runtime& rt, core::SolverOptions opts) {
@@ -441,13 +436,13 @@ TEST(AutoPolicy, FanInPilotsFifoOnly) {
   EXPECT_EQ(choice->policy, core::Policy::kFifo);
   EXPECT_EQ(tuned->options().policy, core::Policy::kFifo);
 
-  // Stage-1 rows: the configured width, mapping and offload thresholds
-  // (the later stages each change one of them).
+  // Stage-1 rows: the configured width and mapping (the later stages
+  // each change one of them).
   const core::SolverOptions defaults;
   int stage1 = 0;
   for (const auto& cand : choice->candidates) {
     if (cand.max_width == defaults.symbolic.max_width &&
-        cand.mapping == defaults.mapping && cand.offload_scale == 0.0) {
+        cand.mapping == defaults.mapping) {
       ++stage1;
       EXPECT_EQ(cand.policy, core::Policy::kFifo);
     }
@@ -458,7 +453,6 @@ TEST(AutoPolicy, FanInPilotsFifoOnly) {
   fifo_opts.policy = core::Policy::kFifo;
   fifo_opts.symbolic.max_width = choice->max_width;
   fifo_opts.mapping = choice->mapping;
-  fifo_opts.gpu = choice->gpu;
   const auto fixed = make(rt, fifo_opts);
   EXPECT_EQ(tuned->dense_factor(), fixed->dense_factor());
   EXPECT_EQ(tuned->report().factor_sim_s, fixed->report().factor_sim_s);

@@ -463,40 +463,53 @@ TEST(RmaRetry, HardDownLinkSurfacesAsRmaRetryError) {
 // is a deterministic regression bound, not a chaos sweep, so a red run
 // always means the protocol regressed and never "an unlucky epoch".
 
-TEST(RecoveryOverheadGate, KillRecoveryWithinBudgetAt16Ranks) {
-  for (const char* name : {"flan", "bones", "thermal"}) {
-    const auto a = proxy_matrix(name);
-    core::SolverOptions opts = resilient_opts(core::Variant::kFanOut);
-    opts.numeric = false;
-    // The 1.5x bound was calibrated on the legacy rendezvous transport
-    // and drain-all progress; the eager/coalesced default and
-    // arrival-ordered progress shorten the fault-free run more than the
-    // recovery path (restart delay, idle-triggered death detection) and
-    // are tracked separately.
-    opts.comm = legacy_comm();
-
-    pgas::Runtime::Config cfg0 = cluster(16, /*threaded=*/false);
-    cfg0.progress = kLegacyProgress;
-    pgas::Runtime rt0(cfg0);
-    core::SymPackSolver s0(rt0, opts);
-    s0.symbolic_factorize(a);
-    s0.factorize();
-    const double fault_free_s = s0.report().factor_sim_s;
-
+/// Killed-run over fault-free simulated factorization time at 16 ranks,
+/// protocol-only on the legacy transport and progress rule, kill seed
+/// 4242 (pinned: a deterministic regression bound, not a chaos sweep).
+double kill_overhead(const CscMatrix& a, core::SolverOptions opts) {
+  opts.numeric = false;
+  // The 1.5x bound was calibrated on the legacy rendezvous transport and
+  // drain-all progress; the eager/coalesced default and arrival-ordered
+  // progress shorten the fault-free run more than the recovery path
+  // (restart delay, idle-triggered death detection) and are tracked
+  // separately.
+  opts.comm = legacy_comm();
+  auto factor_s = [&](const pgas::FaultConfig& faults) {
     pgas::Runtime::Config cfg = cluster(16, /*threaded=*/false);
     cfg.progress = kLegacyProgress;
-    cfg.faults = kill_config(4242);
-    pgas::Runtime rt1(cfg);
-    core::SymPackSolver s1(rt1, opts);
-    s1.symbolic_factorize(a);
-    s1.factorize();
-    const double with_kill_s = s1.report().factor_sim_s;
+    cfg.faults = faults;
+    pgas::Runtime rt(cfg);
+    core::SymPackSolver s(rt, opts);
+    s.symbolic_factorize(a);
+    s.factorize();
+    if (faults.enabled) {
+      EXPECT_EQ(rt.injector()->total().kills, 1u);
+    }
+    return s.report().factor_sim_s;
+  };
+  const double fault_free_s = factor_s(pgas::FaultConfig{});
+  return factor_s(kill_config(4242)) / fault_free_s;
+}
 
-    EXPECT_EQ(rt1.injector()->total().kills, 1u) << name;
-    EXPECT_LE(with_kill_s, 1.5 * fault_free_s)
-        << name << ": recovery overhead "
-        << (with_kill_s / fault_free_s - 1.0) * 100.0 << "%";
+TEST(RecoveryOverheadGate, KillRecoveryWithinBudgetAt16Ranks) {
+  for (const char* name : {"flan", "bones", "thermal"}) {
+    const double ratio = kill_overhead(
+        proxy_matrix(name), resilient_opts(core::Variant::kFanOut));
+    EXPECT_LE(ratio, 1.5) << name << ": recovery overhead "
+                          << (ratio - 1.0) * 100.0 << "%";
   }
+}
+
+// Only real progress (a message drained or a task run) restarts a
+// rank's death-scan count. Survivors waiting on the dead rank keep
+// serving each other's pull re-requests; if that counted as progress,
+// they would scan late. On the thermal proxy under the 2D map the
+// killed run costs 1.03x of fault-free with the rule and 1.12x without.
+TEST(RecoveryOverheadGate, ServingReRequestsDoesNotDelayDeathDetection) {
+  core::SolverOptions opts = resilient_opts(core::Variant::kFanOut);
+  opts.mapping = symbolic::Mapping::Kind::k2dBlockCyclic;
+  const double ratio = kill_overhead(proxy_matrix("thermal"), opts);
+  EXPECT_LE(ratio, 1.08);
 }
 
 // ------------------------------------------------------------------

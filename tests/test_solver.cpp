@@ -218,6 +218,26 @@ TEST(Solver, GpuOffloadActuallyHappens) {
   EXPECT_GT(cpu_total, 0u);  // small blocks stay on the CPU (hybrid!)
 }
 
+// Each solve restarts the device clocks with the rank clocks, so an
+// offloaded solve kernel never queues behind the factorization's (or an
+// earlier solve's) last kernel: repeated solves take the same time.
+TEST(Solver, OffloadedSolvesDoNotQueueBehindEarlierPhases) {
+  pgas::Runtime rt(cluster(4));
+  SolverOptions opts;
+  opts.gpu.potrf_threshold = opts.gpu.trsm_threshold =
+      opts.gpu.syrk_threshold = opts.gpu.gemm_threshold = 0;
+  SymPackSolver solver(rt, opts);
+  const auto a = sparse::grid3d_laplacian(5, 5, 5);
+  solver.symbolic_factorize(a);
+  solver.factorize();
+  const auto b = sparse::rhs_for_ones(a);
+  (void)solver.solve(b);
+  const double first_s = solver.report().solve_sim_s;
+  (void)solver.solve(b);
+  EXPECT_EQ(solver.report().solve_sim_s, first_s);
+  EXPECT_LT(first_s, solver.report().factor_sim_s);
+}
+
 TEST(Solver, DefaultThresholdsKeepMajorityOnCpu) {
   // Fig. 6's qualitative shape: with realistic thresholds, most calls
   // run on the CPU, the few large ones on the GPU.

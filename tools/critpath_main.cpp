@@ -100,24 +100,19 @@ std::string autotune_json(const core::AutoTuneChoice& c) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 ",\"max_width\":%lld,\"mapping\":\"%s\","
-                "\"offload_scale\":%.9g,\"gemm_threshold\":%lld,"
                 "\"pilot_sim_s\":%.9g,\"default_sim_s\":%.9g,"
                 "\"candidates\":[",
                 static_cast<long long>(c.max_width),
-                Mapping::kind_name(c.mapping), c.offload_scale,
-                static_cast<long long>(c.gpu.gemm_threshold), c.pilot_sim_s,
-                c.default_sim_s);
+                Mapping::kind_name(c.mapping), c.pilot_sim_s, c.default_sim_s);
   out += buf;
   for (std::size_t i = 0; i < c.candidates.size(); ++i) {
     const auto& cand = c.candidates[i];
     std::snprintf(buf, sizeof buf,
                   "%s{\"policy\":\"%s\",\"max_width\":%lld,"
-                  "\"mapping\":\"%s\",\"offload_scale\":%.9g,"
-                  "\"sim_s\":%.9g}",
+                  "\"mapping\":\"%s\",\"sim_s\":%.9g}",
                   i > 0 ? "," : "", core::policy_name(cand.policy).c_str(),
                   static_cast<long long>(cand.max_width),
-                  Mapping::kind_name(cand.mapping), cand.offload_scale,
-                  cand.sim_s);
+                  Mapping::kind_name(cand.mapping), cand.sim_s);
     out += buf;
   }
   out += "]}";
@@ -178,18 +173,6 @@ int main(int argc, char** argv) {
                 symbolic::Mapping::kind_name(choice->mapping),
                 choice->pilot_sim_s, choice->default_sim_s,
                 choice->candidates.size());
-    if (choice->offload_scale > 0.0) {
-      std::printf("   auto: offload thresholds from analytic model x %.2g "
-                  "(potrf %lld, trsm %lld, syrk %lld, gemm %lld elems)\n",
-                  choice->offload_scale,
-                  static_cast<long long>(choice->gpu.potrf_threshold),
-                  static_cast<long long>(choice->gpu.trsm_threshold),
-                  static_cast<long long>(choice->gpu.syrk_threshold),
-                  static_cast<long long>(choice->gpu.gemm_threshold));
-    } else {
-      std::printf("   auto: offload thresholds kept at configured values "
-                  "(no pilot beat them)\n");
-    }
   }
 
   core::CritPathAnalyzer factor_an(factor_events);
