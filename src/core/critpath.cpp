@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <iterator>
-#include <span>
 #include <sstream>
 #include <unordered_map>
 
@@ -496,19 +494,24 @@ AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
 
   // Stage 1: every fixed policy at the configured split width. The
   // winner can therefore never be slower (in simulated time) than the
-  // best fixed policy at the defaults. Under fan-in every panel
-  // aggregates and runs its ready queue FIFO whatever the policy says,
-  // so FIFO is the only policy worth a pilot.
-  static constexpr Policy kPolicies[] = {Policy::kFifo, Policy::kLifo,
-                                         Policy::kPriority,
-                                         Policy::kCriticalPath};
-  const std::size_t npolicies =
-      base.variant == Variant::kFanIn ? 1 : std::size(kPolicies);
+  // best fixed policy at the defaults. The library default runs first:
+  // its pilot is the `default_sim_s` baseline, and strictly-better
+  // adoption keeps it on ties. Under fan-in every panel aggregates and
+  // runs its ready queue FIFO whatever the policy says, so the default's
+  // pilot is the only one worth running.
+  const Policy default_policy = SolverOptions{}.policy;
+  std::vector<Policy> policies = {default_policy};
+  if (base.variant != Variant::kFanIn) {
+    for (const Policy p : {Policy::kFifo, Policy::kLifo, Policy::kPriority,
+                           Policy::kCriticalPath, Policy::kBottomLevel}) {
+      if (p != default_policy) policies.push_back(p);
+    }
+  }
   choice.pilot_sim_s = 1e300;
-  for (const Policy p : std::span(kPolicies, npolicies)) {
+  for (const Policy p : policies) {
     const double t = pilot(p, w0, choice.mapping, nullptr);
     record(p, w0, choice.mapping, t);
-    if (p == Policy::kFifo) choice.default_sim_s = t;
+    if (p == default_policy) choice.default_sim_s = t;
     if (t < choice.pilot_sim_s) {
       choice.pilot_sim_s = t;
       choice.policy = p;

@@ -141,7 +141,7 @@ struct AutoTuneChoice {
   /// configured mapping unless another measured strictly faster).
   symbolic::Mapping::Kind mapping = symbolic::Mapping::Kind::k2dBlockCyclic;
   double pilot_sim_s = 0.0;      // winner's pilot makespan
-  double default_sim_s = 0.0;    // FIFO at the configured width
+  double default_sim_s = 0.0;    // default policy at the configured width
   CritPathReport report;         // winner's critical-path analysis
   std::vector<AutoTuneCandidate> candidates;  // every pilot, in run order
 };

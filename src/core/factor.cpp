@@ -33,6 +33,9 @@ FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
       snode_depth_[k] = snode_depth_[sym.snode_of(below.front())] + 1;
     }
   }
+  if (policy == Policy::kBottomLevel) {
+    snode_blevel_ = bottom_levels(sym, rt.model());
+  }
   goal_factor_.resize(rt.nranks());
   goal_update_.resize(rt.nranks());
   for (int r = 0; r < rt.nranks(); ++r) {
@@ -301,6 +304,7 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
     auto [entry, inserted] =
         per_rank_[me].cache.insert(bid, std::move(rf), uses);
     if (!inserted) return;  // duplicate signal: keep the original
+    stage(per_rank_[me], bytes);
     stats_.fetch_mark(me, sig.k, sig.slot, entry->ref.ready);
     deliver(rank, sig.k, sig.slot, entry->ref);
     return;
@@ -362,6 +366,7 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
     if (!fetched_device.is_null()) rank.deallocate(fetched_device);
     return;
   }
+  stage(per_rank_[me], bytes);
   stats_.fetch_mark(me, sig.k, sig.slot, ready);
   deliver(rank, sig.k, sig.slot, entry->ref);
 }
@@ -689,11 +694,53 @@ void FactorEngine::complete_target_update(pgas::Rank& rank, idx_t t,
   }
 }
 
+void FactorEngine::stage(PerRank& pr, std::size_t bytes) {
+  pr.staged_bytes += bytes;
+  pr.staged_peak = std::max(pr.staged_peak, pr.staged_bytes);
+}
+
 void FactorEngine::release_ref(pgas::Rank& rank, const FactorRef& ref) {
   if (ref.cache_bid < 0) return;
-  per_rank_[rank.id()].cache.release(ref.cache_bid, [&rank](RemoteFactor& rf) {
+  PerRank& pr = per_rank_[rank.id()];
+  pr.cache.release(ref.cache_bid, [&](RemoteFactor& rf) {
     if (!rf.device.is_null()) rank.deallocate(rf.device);
+    pr.staged_bytes -= store_->bytes(ref.cache_bid);
   });
+}
+
+std::vector<double> FactorEngine::bottom_levels(
+    const symbolic::SymbolicView& sym, const pgas::MachineModel& model) {
+  // One level of the tree also costs one signal: the panel's factor
+  // reaches its consumers by RPC and a pull.
+  const double level_s = model.rpc_overhead_s + model.net_latency_s;
+  // Parents have larger indices (see the depth sweep in the constructor).
+  const idx_t ns = sym.num_snodes();
+  std::vector<double> blevel(static_cast<std::size_t>(ns), 0.0);
+  for (idx_t k = ns - 1; k >= 0; --k) {
+    const auto& sn = sym.snode(k);
+    const double w = static_cast<double>(sn.width());
+    const double r = static_cast<double>(sn.nrows_below());
+    blevel[k] = w * w * w / 3.0 / (model.cpu_potrf_Gflops * 1e9) +
+                r * w * w / (model.cpu_trsm_Gflops * 1e9) + level_s;
+    if (!sn.below.empty()) blevel[k] += blevel[sym.snode_of(sn.below.front())];
+  }
+  return blevel;
+}
+
+std::int64_t FactorEngine::bottom_level_priority(double blevel_s,
+                                                 bool panel_task) {
+  // Whole picoseconds; clamped below the panel-task offset, so no
+  // update outranks a panel task.
+  constexpr std::int64_t kPanelTask = std::int64_t{1} << 62;
+  const auto level = static_cast<std::int64_t>(
+      std::min(blevel_s * 1e12, static_cast<double>(kPanelTask / 2)));
+  return panel_task ? kPanelTask + level : level;
+}
+
+std::uint64_t FactorEngine::peak_staged_bytes() const {
+  std::uint64_t total = 0;
+  for (const PerRank& pr : per_rank_) total += pr.staged_peak;
+  return total;
 }
 
 idx_t FactorEngine::task_depth(const Task& task) const {
@@ -706,13 +753,19 @@ void FactorEngine::enqueue(PerRank& pr, const Task& task) {
   // kPriority: lowest supernode first (drains the bottom of the
   // elimination tree, which feeds the critical path). kCriticalPath:
   // deepest target supernode first (the task whose result feeds the
-  // longest remaining elimination-tree chain). The queue itself only
-  // orders by this number (core/taskrt/ready_queue.hpp).
+  // longest remaining elimination-tree chain). kBottomLevel: panel
+  // tasks first, an update by its source panel j (task.k), so the
+  // updates reading one fetched copy of j's blocks run back to back and
+  // the copy is freed sooner. The queue itself only orders by this
+  // number (core/taskrt/ready_queue.hpp).
   std::int64_t prio = 0;
   if (pr.rtq.policy() == Policy::kPriority) {
     prio = -static_cast<std::int64_t>(task.k);
   } else if (pr.rtq.policy() == Policy::kCriticalPath) {
     prio = static_cast<std::int64_t>(task_depth(task));
+  } else if (pr.rtq.policy() == Policy::kBottomLevel) {
+    prio = bottom_level_priority(snode_blevel_[task.k],
+                                 task.type != TaskType::kUpdate);
   }
   pr.rtq.push(task, prio);
 }

@@ -95,6 +95,27 @@ class FactorEngine {
   /// confirmed dead (the solver's recovery loop catches that one).
   void run();
 
+  /// High-water of fetched remote factor blocks held at once (host,
+  /// device or inline copies in the use caches), per rank, summed over
+  /// ranks. Not part of the runtime's peak memory (host copies live
+  /// outside its allocation registry).
+  [[nodiscard]] std::uint64_t peak_staged_bytes() const;
+
+  /// Bottom level of every supernode (Policy::kBottomLevel), in
+  /// simulated seconds: the time of its POTRF (w³/3 flops) and TRSM
+  /// (r·w² flops; w = width, r = rows below the diagonal block) at the
+  /// model's CPU rates, plus one signal (RPC + pull latency), plus its
+  /// parent's bottom level. The latency term keeps deep chains of small
+  /// panels from ranking below a few heavy ones in latency-bound runs.
+  static std::vector<double> bottom_levels(const symbolic::SymbolicView& sym,
+                                           const pgas::MachineModel& model);
+  /// Policy::kBottomLevel priority of a ready task whose supernode (D/F)
+  /// or source panel (U) has bottom level `blevel_s`: every panel task
+  /// outranks every update, and within each class the larger bottom
+  /// level pops first. The updates of one source panel share a
+  /// priority, so they pop together, in insertion order.
+  static std::int64_t bottom_level_priority(double blevel_s, bool panel_task);
+
  private:
   // --- task representation -------------------------------------------
   enum class TaskType : std::uint8_t { kDiag, kFactor, kUpdate };
@@ -169,6 +190,8 @@ class FactorEngine {
     std::unordered_map<idx_t, FactorRef> diag_ref;  // key: supernode
     std::unordered_map<idx_t, Aggregate> aggs;      // key: target block id
     std::vector<pgas::GlobalPtr> out_buffers;       // sent aggregates
+    std::uint64_t staged_bytes = 0;  // fetched blocks live in `cache`
+    std::uint64_t staged_peak = 0;   // high-water of staged_bytes
     idx_t done_factor = 0;
     idx_t done_update = 0;
   };
@@ -243,9 +266,13 @@ class FactorEngine {
   /// One dependency of target block (t, slot) arrived at `ready`.
   void complete_target_update(pgas::Rank& rank, idx_t t, BlockSlot slot,
                               double ready);
+  /// Count a fetched block of `bytes` into `pr`'s staged copies
+  /// (release_ref takes it out with the last use).
+  static void stage(PerRank& pr, std::size_t bytes);
   void release_ref(pgas::Rank& rank, const FactorRef& ref);
   /// Push a task with its policy priority (kPriority: -supernode;
-  /// kCriticalPath: elimination-tree depth; queue order otherwise).
+  /// kCriticalPath: elimination-tree depth; kBottomLevel:
+  /// bottom_level_priority; queue order otherwise).
   void enqueue(PerRank& pr, const Task& task);
 
   pgas::Runtime* rt_;
@@ -283,6 +310,9 @@ class FactorEngine {
   // Supernode depth in the supernodal elimination tree (root = 0).
   // Immutable after construction.
   std::vector<idx_t> snode_depth_;
+  // bottom_levels() in seconds, built only under Policy::kBottomLevel.
+  // Immutable after construction.
+  std::vector<double> snode_blevel_;
 
   /// White-box access for regression tests (duplicate-signal leak test).
   friend struct FactorEngineTestPeer;

@@ -174,7 +174,7 @@ void Offload::run_trsm_left(pgas::Rank& rank, bool transposed, int n,
   // An explicit threshold keys on the RHS panel (the buffer the solve
   // computes on), so thin solves stay on the CPU under it.
   const std::int64_t elems = static_cast<std::int64_t>(n) * nrhs;
-  const std::size_t d_bytes = doubles(n, nrhs);
+  const std::size_t d_bytes = doubles(n, n);
   const std::size_t x_bytes = doubles(n, nrhs);
   Call c{gpu::Op::kTrsm, static_cast<double>(nrhs) * n * n, elems,
          d_bytes + x_bytes, x_bytes};

@@ -20,6 +20,18 @@ namespace sympack::core {
 ///   kPriority          lowest target supernode first
 ///   kCriticalPath      deepest supernode first (tasks feeding the
 ///                      longest elimination-tree chain run first)
+///   kBottomLevel       the default: panel tasks (diagonal and
+///                      off-diagonal factorizations) before any update,
+///                      each by its supernode's bottom level (POTRF +
+///                      TRSM time at the model's CPU rates plus one
+///                      signal latency, summed up the elimination tree
+///                      to the root); updates by their *source* panel's
+///                      bottom level, so the updates that read one
+///                      fetched factor copy run back to back and the
+///                      copy is freed sooner. Faster than FIFO at 7 of
+///                      the 9 BENCH_scheduler.json points; it adds at
+///                      most half the staged copies kCriticalPath adds
+///                      over FIFO (DESIGN.md §4m)
 ///   kAuto              measured per matrix: symbolic_factorize runs
 ///                      cheap protocol-only pilot factorizations, feeds
 ///                      the traces through the critical-path analyzer
@@ -27,7 +39,14 @@ namespace sympack::core {
 ///                      policy (and supernode split width) with the
 ///                      shortest measured critical path. Never reaches
 ///                      the engines unresolved.
-enum class Policy { kFifo, kLifo, kPriority, kCriticalPath, kAuto };
+enum class Policy {
+  kFifo,
+  kLifo,
+  kPriority,
+  kCriticalPath,
+  kBottomLevel,
+  kAuto
+};
 
 Policy parse_policy(const std::string& name);
 std::string policy_name(Policy p);
@@ -198,7 +217,7 @@ struct SolverOptions {
   /// Bottom subtrees on single ranks, the 2D grid above them (falls
   /// back to plain 2D where no layer balances; DESIGN.md §4l).
   symbolic::Mapping::Kind mapping = symbolic::Mapping::Kind::kSubtreeLayer;
-  Policy policy = Policy::kFifo;
+  Policy policy = Policy::kBottomLevel;
   GpuOptions gpu{};
   /// Cache-block / panel sizes for the CPU dense kernels the tasks run
   /// on (src/blas/kernels/). Defaults to the process-wide configuration

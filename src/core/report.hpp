@@ -58,6 +58,14 @@ struct Report {
   // Memory high-water mark across the factorization (factor storage +
   // communication buffers + device scratch), in bytes.
   std::uint64_t peak_memory_bytes = 0;
+
+  // High-water of fetched remote factor blocks held live at once during
+  // the factorization (host, device or inline copies awaiting their last
+  // local use), per rank, summed over ranks; the attempt that completed,
+  // under recovery. Kept apart from peak_memory_bytes, which sees only
+  // the device copies among them. What the scheduling policy trades: a
+  // schedule that runs a copy's readers later keeps the copy longer.
+  std::uint64_t peak_staged_bytes = 0;
 };
 
 }  // namespace sympack::core

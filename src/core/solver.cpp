@@ -63,6 +63,7 @@ Policy parse_policy(const std::string& name) {
   if (name == "critical-path" || name == "critical") {
     return Policy::kCriticalPath;
   }
+  if (name == "bottom-level") return Policy::kBottomLevel;
   if (name == "auto") return Policy::kAuto;
   throw std::invalid_argument("unknown scheduling policy: " + name);
 }
@@ -73,6 +74,7 @@ std::string policy_name(Policy p) {
     case Policy::kLifo: return "lifo";
     case Policy::kPriority: return "priority";
     case Policy::kCriticalPath: return "critical-path";
+    case Policy::kBottomLevel: return "bottom-level";
     case Policy::kAuto: return "auto";
   }
   return "?";
@@ -271,6 +273,7 @@ void SymPackSolver::factorize() {
       FactorEngine engine(*rt_, *sview_, *tgview_, *store_, *offload_, opts_,
                           tracer_, rec);
       engine.run();
+      report_.peak_staged_bytes = engine.peak_staged_bytes();
       break;
     } catch (const NotPositiveDefiniteError& e) {
       // The engine names the factor's (permuted) column; report the

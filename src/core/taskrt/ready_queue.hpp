@@ -3,20 +3,21 @@
 // The paper (§3.4) leaves the scheduling policy open and pops "whichever
 // task is at the top of the queue"; the solver exposes the knob
 // (core::Policy) for the scheduling ablation. This container is the
-// single implementation of all four policies, templated on the engine's
+// single implementation of every policy, templated on the engine's
 // task payload:
 //
 //   kFifo / kLifo      plain deque ends;
 //   kPriority /        binary max-heap maintained in place with
-//   kCriticalPath      std::push_heap/pop_heap — higher priority pops
-//                      first, ties broken by lower insertion sequence,
+//   kCriticalPath /    std::push_heap/pop_heap — higher priority pops
+//   kBottomLevel       first, ties broken by lower insertion sequence,
 //                      reproducing a stable linear-scan selection in
 //                      O(log n) (the scan went quadratic on the deep RTQs
 //                      of irregular matrices, e.g. the thermal_proxy
 //                      regime).
 //
 // The *meaning* of the priority stays with the engine (kPriority uses
-// -supernode, kCriticalPath uses elimination-tree depth); the queue only
+// -supernode, kCriticalPath elimination-tree depth, kBottomLevel the
+// timed bottom level, panel tasks first); the queue only
 // orders by the int64 it is handed. Same single-writer rule as the rest
 // of the per-rank engine state (DESIGN.md §4d): each instance belongs to
 // one rank and is only touched by the thread driving that rank.
@@ -66,7 +67,8 @@ class ReadyQueue {
         return t;
       }
       case Policy::kPriority:
-      case Policy::kCriticalPath: {
+      case Policy::kCriticalPath:
+      case Policy::kBottomLevel: {
         std::pop_heap(q_.begin(), q_.end(), heap_less);
         Task t = std::move(q_.back().task);
         q_.pop_back();
@@ -104,7 +106,8 @@ class ReadyQueue {
   };
 
   [[nodiscard]] bool heaped() const {
-    return policy_ == Policy::kPriority || policy_ == Policy::kCriticalPath;
+    return policy_ == Policy::kPriority || policy_ == Policy::kCriticalPath ||
+           policy_ == Policy::kBottomLevel;
   }
 
   /// "Less" for a max-heap at the front: higher prio wins, ties go to

@@ -14,6 +14,10 @@
 //   * CritPathAnalyzer on a hand-built five-task DAG: known critical
 //     path, per-category breakdown, comm/wait split at a fetch-marked
 //     cross-rank handoff, and the name-parse fallback for plain traces.
+//   * Policy::kBottomLevel on a hand-built tree: bottom levels sum the
+//     panel costs up the tree, panel tasks pop before updates, and one
+//     source panel's updates pop back to back; the default holds no more
+//     staged fetched copies than kCriticalPath.
 //   * Policy::kAuto resolves to a concrete policy whose simulated
 //     makespan is no worse than every fixed policy (the pilots are
 //     protocol-only and sim-exact, so this holds by construction).
@@ -26,18 +30,24 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
 #include "core/critpath.hpp"
+#include "core/factor.hpp"
 #include "core/solver.hpp"
 #include "core/taskrt/dep_tracker.hpp"
 #include "core/taskrt/ready_queue.hpp"
 #include "core/trace.hpp"
+#include "ordering/etree.hpp"
 #include "ordering/ordering.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permute.hpp"
 #include "support/json.hpp"
+#include "symbolic/taskgraph.hpp"
+#include "symbolic/view.hpp"
 
 namespace sympack {
 namespace {
@@ -141,7 +151,7 @@ TEST(ReadyQueue, NextReadyIsThePoppedTasksReadyTime) {
   };
   for (const core::Policy policy :
        {core::Policy::kFifo, core::Policy::kLifo, core::Policy::kPriority,
-        core::Policy::kCriticalPath}) {
+        core::Policy::kCriticalPath, core::Policy::kBottomLevel}) {
     core::taskrt::ReadyQueue<Task> q(policy);
     const double ready[] = {0.5, 0.1, 0.9, 0.3, 0.7};
     const std::int64_t prio[] = {2, 5, 1, 5, 3};
@@ -150,6 +160,157 @@ TEST(ReadyQueue, NextReadyIsThePoppedTasksReadyTime) {
       const double expect = q.next_ready();
       EXPECT_EQ(q.pop().ready, expect) << core::policy_name(policy);
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Policy::kBottomLevel on a hand-built tree: two dense leaf blocks
+// (columns 0-5 and 6-11) coupled to different rows of a dense root
+// block (columns 12-17), split at width 3 without amalgamation, so the
+// supernodal tree is A0 -> A1 -> R1 and B0 -> B1 -> R0 -> R1.
+
+struct HandBuiltTree {
+  symbolic::Symbolic sym;
+  std::unique_ptr<symbolic::TaskGraph> tg;
+  std::unique_ptr<symbolic::ReplicatedSymbolicView> view;
+};
+
+std::unique_ptr<HandBuiltTree> hand_built_tree() {
+  sparse::CooBuilder b(18);
+  auto dense = [&b](sparse::idx_t lo, sparse::idx_t hi) {
+    for (sparse::idx_t j = lo; j <= hi; ++j) {
+      for (sparse::idx_t i = j + 1; i <= hi; ++i) b.add(i, j, -0.1);
+    }
+  };
+  for (sparse::idx_t j = 0; j < 18; ++j) b.add(j, j, 10.0);
+  dense(0, 5);
+  dense(6, 11);
+  dense(12, 17);
+  for (sparse::idx_t j = 0; j <= 5; ++j) {
+    for (sparse::idx_t i = 15; i <= 17; ++i) b.add(i, j, -0.1);
+  }
+  for (sparse::idx_t j = 6; j <= 11; ++j) {
+    for (sparse::idx_t i = 12; i <= 14; ++i) b.add(i, j, -0.1);
+  }
+  const sparse::CscMatrix a = b.build();
+  symbolic::SymbolicOptions opts;
+  opts.amalgamate = false;
+  opts.max_width = 3;
+  auto t = std::make_unique<HandBuiltTree>();
+  t->sym = symbolic::analyze(a, ordering::elimination_tree(a), opts);
+  t->tg = std::make_unique<symbolic::TaskGraph>(
+      t->sym, symbolic::Mapping::build(1, symbolic::Mapping::Kind::k2dBlockCyclic,
+                                       t->sym));
+  t->view = std::make_unique<symbolic::ReplicatedSymbolicView>(t->sym, *t->tg,
+                                                               0.0);
+  return t;
+}
+
+TEST(BottomLevel, SumsPanelCostsUpTheTree) {
+  const auto t = hand_built_tree();
+  const auto& sym = *t->view;
+  ASSERT_EQ(sym.num_snodes(), 6);
+  const pgas::MachineModel model;
+  const auto blevel = core::FactorEngine::bottom_levels(sym, model);
+  // c(k): POTRF + TRSM time at the CPU rates plus one signal.
+  auto cost = [&](sparse::idx_t k) {
+    const double w = static_cast<double>(sym.snode(k).width());
+    const double r = static_cast<double>(sym.snode(k).nrows_below());
+    return w * w * w / 3.0 / (model.cpu_potrf_Gflops * 1e9) +
+           r * w * w / (model.cpu_trsm_Gflops * 1e9) + model.rpc_overhead_s +
+           model.net_latency_s;
+  };
+  auto parent = [&](sparse::idx_t k) -> sparse::idx_t {
+    const auto& below = sym.snode(k).below;
+    return below.empty() ? -1 : sym.snode_of(below.front());
+  };
+  // The tree named above: supernodes A0 A1 B0 B1 R0 R1 are 0..5.
+  EXPECT_EQ(parent(0), 1);
+  EXPECT_EQ(parent(1), 5);
+  EXPECT_EQ(parent(2), 3);
+  EXPECT_EQ(parent(3), 4);
+  EXPECT_EQ(parent(4), 5);
+  EXPECT_EQ(parent(5), -1);
+  for (sparse::idx_t k = 0; k < sym.num_snodes(); ++k) {
+    double chain = 0.0;
+    for (sparse::idx_t a = k; a >= 0; a = parent(a)) chain += cost(a);
+    EXPECT_NEAR(blevel[k], chain, 1e-15) << "supernode " << k;
+  }
+  EXPECT_NEAR(blevel[5], cost(5), 1e-15);  // the root: its own cost
+  EXPECT_GT(blevel[2], blevel[0]);         // the longer chain ranks higher
+}
+
+TEST(BottomLevel, PanelTasksFirstAndUpdatesGroupedBySource) {
+  const auto t = hand_built_tree();
+  const auto blevel =
+      core::FactorEngine::bottom_levels(*t->view, pgas::MachineModel{});
+  struct Task {
+    bool panel;
+    sparse::idx_t k;  // the supernode (panel task) or source panel (update)
+    double ready;
+  };
+  // Updates of three source panels interleaved with panel tasks, in the
+  // order a rank might see them become ready.
+  const std::vector<Task> pushed = {
+      {false, 0, 0}, {false, 2, 0}, {false, 0, 0}, {true, 4, 0},
+      {false, 2, 0}, {true, 1, 0},  {false, 3, 0}, {false, 0, 0},
+      {true, 5, 0},  {false, 3, 0}, {true, 2, 0},  {false, 2, 0}};
+  core::taskrt::ReadyQueue<Task> q(core::Policy::kBottomLevel);
+  for (const Task& task : pushed) {
+    q.push(task, core::FactorEngine::bottom_level_priority(blevel[task.k],
+                                                           task.panel));
+  }
+  std::vector<Task> popped;
+  while (!q.empty()) popped.push_back(q.pop());
+  ASSERT_EQ(popped.size(), pushed.size());
+
+  const auto npanel = static_cast<std::size_t>(std::count_if(
+      pushed.begin(), pushed.end(), [](const Task& x) { return x.panel; }));
+  for (std::size_t i = 0; i < popped.size(); ++i) {
+    EXPECT_EQ(popped[i].panel, i < npanel) << "pop " << i;
+    if (i > 0 && popped[i].panel == popped[i - 1].panel) {
+      EXPECT_GE(blevel[popped[i - 1].k], blevel[popped[i].k]) << "pop " << i;
+    }
+  }
+  // Each source panel's updates come out back to back.
+  std::vector<sparse::idx_t> runs;
+  for (std::size_t i = npanel; i < popped.size(); ++i) {
+    if (runs.empty() || runs.back() != popped[i].k) {
+      runs.push_back(popped[i].k);
+    }
+  }
+  // B0 heads a four-level chain; A0 and B1 head three-level chains, and
+  // A0's panel is taller (six rows below it against three).
+  ASSERT_GT(blevel[0], blevel[3]);
+  EXPECT_EQ(runs, (std::vector<sparse::idx_t>{2, 0, 3}));
+
+  // No bottom level, however large, lifts an update over a panel task.
+  EXPECT_LT(core::FactorEngine::bottom_level_priority(1e300, false),
+            core::FactorEngine::bottom_level_priority(0.0, true));
+}
+
+// The default trades some of critical-path's speed for fewer live
+// fetched copies: on the three proxies at 8 ranks it never holds more
+// staged bytes than kCriticalPath.
+TEST(BottomLevel, StagesNoMoreThanCriticalPath) {
+  const std::pair<const char*, sparse::CscMatrix> proxies[] = {
+      {"flan", sparse::flan_proxy(0.02)},
+      {"bones", sparse::bones_proxy(0.02)},
+      {"thermal", sparse::thermal_proxy(0.005)}};
+  for (const auto& [name, a] : proxies) {
+    auto staged = [&a](core::Policy policy) {
+      pgas::Runtime rt(pgas::Runtime::Config{.nranks = 8, .ranks_per_node = 4});
+      core::SolverOptions opts;
+      opts.policy = policy;
+      opts.numeric = false;
+      core::SymPackSolver solver(rt, opts);
+      solver.symbolic_factorize(a);
+      solver.factorize();
+      return solver.report().peak_staged_bytes;
+    };
+    const std::uint64_t by_default = staged(core::SolverOptions{}.policy);
+    EXPECT_GT(by_default, 0u) << name;
+    EXPECT_LE(by_default, staged(core::Policy::kCriticalPath)) << name;
   }
 }
 
@@ -306,8 +467,8 @@ TEST(AutoPolicy, NoWorseThanEveryFixedPolicy) {
   double best_fixed = 0.0;
   bool first = true;
   for (core::Policy p : {core::Policy::kFifo, core::Policy::kLifo,
-                         core::Policy::kPriority,
-                         core::Policy::kCriticalPath}) {
+                         core::Policy::kPriority, core::Policy::kCriticalPath,
+                         core::Policy::kBottomLevel}) {
     const double sim = run(p, nullptr, nullptr, nullptr);
     best_fixed = first ? sim : std::min(best_fixed, sim);
     first = false;
@@ -329,7 +490,10 @@ TEST(AutoPolicy, NoWorseThanEveryFixedPolicy) {
   ASSERT_NE(choice, nullptr);
   EXPECT_NE(choice->policy, core::Policy::kAuto);  // resolved to concrete
   EXPECT_NEAR(choice->pilot_sim_s, auto_sim, 1e-9);  // pilot is exact
-  EXPECT_GE(choice->candidates.size(), 4u);  // all fixed policies piloted
+  EXPECT_GE(choice->candidates.size(), 5u);  // all fixed policies piloted
+  // The first pilot is the library default's, and it is the baseline.
+  EXPECT_EQ(choice->candidates.front().policy, core::SolverOptions{}.policy);
+  EXPECT_EQ(choice->default_sim_s, choice->candidates.front().sim_s);
   EXPECT_EQ(auto_solver->options().policy, choice->policy);
 
   // The mapping stage ran: the candidate list contains non-default
@@ -415,9 +579,10 @@ TEST(AutoPolicy, SkipsTheGridPilotWhenTheLayerFellBack) {
 
 // Under fan-in every panel aggregates, and aggregated panels run their
 // ready queue FIFO whatever the policy says: the other policy pilots
-// would measure the same schedule again. Stage 1 pilots FIFO alone, and
-// the tuned factorization is the fixed-FIFO one at the adopted
-// width/mapping configuration.
+// would measure the same schedule again. Stage 1 pilots the default
+// policy alone (a FIFO schedule under fan-in), and the tuned
+// factorization is the fixed-FIFO one at the adopted width/mapping
+// configuration.
 TEST(AutoPolicy, FanInPilotsFifoOnly) {
   const auto a = sparse::thermal_proxy(0.02);
   auto make = [&](pgas::Runtime& rt, core::SolverOptions opts) {
@@ -433,22 +598,25 @@ TEST(AutoPolicy, FanInPilotsFifoOnly) {
   const auto tuned = make(rt, auto_opts);
   const auto* choice = tuned->autotune_choice();
   ASSERT_NE(choice, nullptr);
-  EXPECT_EQ(choice->policy, core::Policy::kFifo);
-  EXPECT_EQ(tuned->options().policy, core::Policy::kFifo);
+  const core::SolverOptions defaults;
+  EXPECT_EQ(choice->policy, defaults.policy);
+  EXPECT_EQ(tuned->options().policy, defaults.policy);
 
   // Stage-1 rows: the configured width and mapping (the later stages
   // each change one of them).
-  const core::SolverOptions defaults;
   int stage1 = 0;
   for (const auto& cand : choice->candidates) {
     if (cand.max_width == defaults.symbolic.max_width &&
         cand.mapping == defaults.mapping) {
       ++stage1;
-      EXPECT_EQ(cand.policy, core::Policy::kFifo);
+      EXPECT_EQ(cand.policy, defaults.policy);
+      EXPECT_EQ(cand.sim_s, choice->default_sim_s);
     }
   }
   EXPECT_EQ(stage1, 1);
 
+  // The same schedule as a FIFO run: aggregated panels ignore the
+  // policy.
   core::SolverOptions fifo_opts;
   fifo_opts.policy = core::Policy::kFifo;
   fifo_opts.symbolic.max_width = choice->max_width;

@@ -27,7 +27,9 @@
 // full defaults, arrival-ordered progress included, as they were before
 // the default map became the subtree layer. All of the tables above
 // pin the 2D block-cyclic map they were captured on;
-// kGoldenSubtreeLayer pins the defaults as they are.
+// kGoldenSubtreeLayer pins the defaults as they were before the
+// default policy became bottom-level, and kGoldenBottomLevel pins the
+// defaults as they are.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -558,6 +560,7 @@ struct DefaultGolden {
   bool legacy_order;         // factor legacy_ordered(proxy)
   pgas::Progress progress;   // runtime inbox rule the row was captured on
   symbolic::Mapping::Kind mapping = symbolic::Mapping::Kind::k2dBlockCyclic;
+  core::Policy policy = core::Policy::kFifo;  // the default until then
 };
 
 const DefaultGolden kGoldenDefault[] = {
@@ -589,11 +592,11 @@ const DefaultGolden kGoldenArrival[] = {
      pgas::Progress::kArrival},
 };
 
-// Default SolverOptions and a default Runtime::Config as they are: the
+// Default SolverOptions and a default Runtime::Config with the
 // subtree-layer map (bottom subtrees whole on one rank, the 2D grid
-// above them). Captured when the layer became the default; each hash
-// differs from its kGoldenArrival row, so the layer engages on every
-// proxy at 8 ranks.
+// above them) at FIFO. Captured when the layer became the default; each
+// hash differs from its kGoldenArrival row, so the layer engages on
+// every proxy at 8 ranks.
 const DefaultGolden kGoldenSubtreeLayer[] = {
     {"flan", 0x21b1e1983ea87bc7ull, 0xfb2bc7844bfd767full, false,
      pgas::Progress::kArrival, kLayer},
@@ -603,11 +606,28 @@ const DefaultGolden kGoldenSubtreeLayer[] = {
      pgas::Progress::kArrival, kLayer},
 };
 
+constexpr auto kBottomLevel = core::Policy::kBottomLevel;
+
+// Default SolverOptions and a default Runtime::Config as they are: the
+// bottom-level ready queue on the subtree layer. Captured when
+// bottom-level became the default policy; the factor hashes differ from
+// the kGoldenSubtreeLayer rows, while the solve hashes equal them (the
+// policy orders factorization tasks only).
+const DefaultGolden kGoldenBottomLevel[] = {
+    {"flan", 0x118da35a9c500cdaull, 0xfb2bc7844bfd767full, false,
+     pgas::Progress::kArrival, kLayer, kBottomLevel},
+    {"bones", 0x8e4ac7fd391bb8ffull, 0x9f75fb0bf55b5a7full, false,
+     pgas::Progress::kArrival, kLayer, kBottomLevel},
+    {"thermal", 0x69ab3a0aa3837768ull, 0xce2dbd688f60e332ull, false,
+     pgas::Progress::kArrival, kLayer, kBottomLevel},
+};
+
 constexpr int kDefaultGoldenNrhs = 4;
 
 OrderedProblem default_problem(const DefaultGolden& g) {
   core::SolverOptions opts;
   opts.mapping = g.mapping;
+  opts.policy = g.policy;
   return g.legacy_order ? legacy_problem(g.proxy, opts)
                         : OrderedProblem{proxy_matrix(g.proxy), opts};
 }
@@ -657,10 +677,24 @@ INSTANTIATE_TEST_SUITE_P(Arrival, GoldenDefaultSchedule,
 INSTANTIATE_TEST_SUITE_P(SubtreeLayer, GoldenDefaultSchedule,
                          ::testing::ValuesIn(kGoldenSubtreeLayer),
                          default_golden_name);
+INSTANTIATE_TEST_SUITE_P(BottomLevel, GoldenDefaultSchedule,
+                         ::testing::ValuesIn(kGoldenBottomLevel),
+                         default_golden_name);
+
+// The newest table pins what a user who sets nothing gets.
+TEST(GoldenDefaultTable, NewestTableIsTheDefaults) {
+  const core::SolverOptions defaults;
+  for (const DefaultGolden& g : kGoldenBottomLevel) {
+    EXPECT_EQ(g.policy, defaults.policy);
+    EXPECT_EQ(g.mapping, defaults.mapping);
+    EXPECT_FALSE(g.legacy_order);
+    EXPECT_EQ(g.progress, pgas::Runtime::Config{}.progress);
+  }
+}
 
 TEST(GoldenScheduleTable, DISABLED_PrintDefaultTables) {
   const auto print = [](const DefaultGolden& g) {
-    printf("    {\"%s\", 0x%llxull, 0x%llxull, %s,\n     %s%s},\n", g.proxy,
+    printf("    {\"%s\", 0x%llxull, 0x%llxull, %s,\n     %s%s%s},\n", g.proxy,
            static_cast<unsigned long long>(
                run_golden(default_problem(g), /*faults=*/false, g.progress)),
            static_cast<unsigned long long>(
@@ -669,12 +703,14 @@ TEST(GoldenScheduleTable, DISABLED_PrintDefaultTables) {
            g.legacy_order ? "true" : "false",
            g.progress == kLegacyProgress ? "kLegacyProgress"
                                          : "pgas::Progress::kArrival",
-           g.mapping == kLayer ? ", kLayer" : "");
+           g.mapping == kLayer ? ", kLayer" : "",
+           g.policy == kBottomLevel ? ", kBottomLevel" : "");
   };
   for (const DefaultGolden& g : kGoldenDefault) print(g);
   for (const DefaultGolden& g : kGoldenFullDefault) print(g);
   for (const DefaultGolden& g : kGoldenArrival) print(g);
   for (const DefaultGolden& g : kGoldenSubtreeLayer) print(g);
+  for (const DefaultGolden& g : kGoldenBottomLevel) print(g);
 }
 
 }  // namespace

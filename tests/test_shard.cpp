@@ -157,7 +157,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(core::Policy::kFifo,
                                          core::Policy::kLifo,
                                          core::Policy::kPriority,
-                                         core::Policy::kCriticalPath),
+                                         core::Policy::kCriticalPath,
+                                         core::Policy::kBottomLevel),
                        ::testing::Values(8, 64)));
 
 // ------------------------------------------------------------------
@@ -207,17 +208,21 @@ TEST(ShardParity, FactorAndProtocolCountersAgreeAt8) {
   // Both placements of the update task: fan-out pushes every update to
   // the target block's owner, fan-in aggregates at the source's owner.
   for (const auto variant : {core::Variant::kFanOut, core::Variant::kFanIn}) {
-    for (const char* proxy : {"flan", "bones", "thermal"}) {
-      const CscMatrix a = proxy_matrix(proxy);
-      const FactorRun rep = run_factor(a, 8, /*shard=*/false, false,
-                                       core::Policy::kFifo, variant);
-      const FactorRun shd = run_factor(a, 8, /*shard=*/true, false,
-                                       core::Policy::kFifo, variant);
-      SCOPED_TRACE(std::string(proxy) + " " + core::variant_name(variant));
-      expect_factor_parity(rep, shd);
-      // Sharded runs do pay metadata pulls — just not on the wire
-      // counters.
-      EXPECT_EQ(rep.stats.symbolic_pull_rpcs, 0u);
+    for (const auto policy :
+         {core::Policy::kFifo, core::Policy::kBottomLevel}) {
+      for (const char* proxy : {"flan", "bones", "thermal"}) {
+        const CscMatrix a = proxy_matrix(proxy);
+        const FactorRun rep =
+            run_factor(a, 8, /*shard=*/false, false, policy, variant);
+        const FactorRun shd =
+            run_factor(a, 8, /*shard=*/true, false, policy, variant);
+        SCOPED_TRACE(std::string(proxy) + " " + core::variant_name(variant) +
+                     " " + core::policy_name(policy));
+        expect_factor_parity(rep, shd);
+        // Sharded runs do pay metadata pulls — just not on the wire
+        // counters.
+        EXPECT_EQ(rep.stats.symbolic_pull_rpcs, 0u);
+      }
     }
   }
 }

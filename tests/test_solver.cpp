@@ -5,6 +5,7 @@
 // runtime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -159,9 +160,12 @@ TEST_P(PolicySweep, AllPoliciesGiveCorrectSolve) {
 
 INSTANTIATE_TEST_SUITE_P(Policies, PolicySweep,
                          ::testing::Values(Policy::kFifo, Policy::kLifo,
-                                           Policy::kPriority),
+                                           Policy::kPriority,
+                                           Policy::kBottomLevel),
                          [](const auto& info) {
-                           return policy_name(info.param);
+                           std::string n = policy_name(info.param);
+                           std::replace(n.begin(), n.end(), '-', '_');
+                           return n;
                          });
 
 class MappingSweep
@@ -559,6 +563,13 @@ TEST(Solver, PolicyParseRoundTrip) {
   EXPECT_EQ(parse_policy("lifo"), Policy::kLifo);
   EXPECT_EQ(parse_policy("priority"), Policy::kPriority);
   EXPECT_THROW(parse_policy("bogus"), std::invalid_argument);
+  for (Policy p : {Policy::kFifo, Policy::kLifo, Policy::kPriority,
+                   Policy::kCriticalPath, Policy::kBottomLevel,
+                   Policy::kAuto}) {
+    EXPECT_EQ(parse_policy(policy_name(p)), p) << policy_name(p);
+  }
+  EXPECT_EQ(policy_name(Policy::kBottomLevel), "bottom-level");
+  EXPECT_EQ(SolverOptions{}.policy, Policy::kBottomLevel);
 }
 
 }  // namespace
@@ -630,7 +641,7 @@ std::vector<ParityCase> parity_cases() {
   std::vector<ParityCase> cases;
   for (const char* proxy : kParityProxies) {
     for (Policy policy : {Policy::kFifo, Policy::kLifo, Policy::kPriority,
-                          Policy::kCriticalPath}) {
+                          Policy::kCriticalPath, Policy::kBottomLevel}) {
       cases.push_back({proxy, policy});
     }
   }

@@ -1,6 +1,6 @@
 // Threaded-mode hardening suite (the TSan CI job runs exactly these
 // binaries): threaded-vs-sequential parity on the three paper proxy
-// generators across all four scheduling policies, seeded-interleaving
+// generators across all five scheduling policies, seeded-interleaving
 // replay at the solver level, and the duplicate-signal device-leak
 // regression for FactorEngine::handle_signal, and the fan-in aggregate
 // buffer release.
@@ -146,7 +146,7 @@ void expect_stats_equal(const pgas::CommStats& a, const pgas::CommStats& b) {
 }
 
 // ------------------------------------------------------------------
-// Threaded-vs-sequential parity: 3 proxy matrices x 4 policies x 8 ranks.
+// Threaded-vs-sequential parity: 3 proxy matrices x 5 policies x 8 ranks.
 
 using ParityParam = std::tuple<std::string, core::Policy>;
 
@@ -197,7 +197,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(core::Policy::kFifo,
                                          core::Policy::kLifo,
                                          core::Policy::kPriority,
-                                         core::Policy::kCriticalPath)),
+                                         core::Policy::kCriticalPath,
+                                         core::Policy::kBottomLevel)),
     parity_name);
 
 // Full library defaults, coalescing included, on every proxy: the
@@ -208,10 +209,10 @@ TEST(ThreadedDefaults, MatchSequentialExceptRpcCounts) {
   for (const char* name : {"flan", "bones", "thermal"}) {
     const auto a = proxy_matrix(name);
     const RunResult seq = run_solver(a, 8, /*threaded=*/false,
-                                     core::Policy::kFifo, 0,
+                                     core::SolverOptions{}.policy, 0,
                                      core::CommOptions{});
     const RunResult thr = run_solver(a, 8, /*threaded=*/true,
-                                     core::Policy::kFifo, 0,
+                                     core::SolverOptions{}.policy, 0,
                                      core::CommOptions{});
     EXPECT_LT(seq.factor_residual, 1e-10) << name;
     EXPECT_LT(thr.factor_residual, 1e-10) << name;
@@ -326,7 +327,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(core::Policy::kFifo,
                                          core::Policy::kLifo,
                                          core::Policy::kPriority,
-                                         core::Policy::kCriticalPath)),
+                                         core::Policy::kCriticalPath,
+                                         core::Policy::kBottomLevel)),
     repeat_name);
 
 // ------------------------------------------------------------------

@@ -16,7 +16,9 @@
 //   --scale   double               proxy size scale (default 0.25)
 //   --nodes   int                  simulated nodes (default 4)
 //   --ppn     int                  ranks per node (default 4)
-//   --policy  fifo|lifo|priority|critical-path|auto (default fifo)
+//   --policy  fifo|lifo|priority|critical-path|bottom-level|auto
+//                                  (default: the library default,
+//                                  bottom-level)
 //   --auto    bool                 shorthand for --policy auto
 //   --numeric bool                 real numerics (default false:
 //                                  protocol-only, same schedule, cheap)
@@ -133,7 +135,9 @@ int main(int argc, char** argv) {
   const std::string trace_path = opts.get_string("trace", "");
   const std::string json_path = opts.get_string("json", "");
   const std::string policy_name = opts.get_string(
-      "policy", opts.get_bool("auto", false) ? "auto" : "fifo");
+      "policy", opts.get_bool("auto", false)
+                    ? "auto"
+                    : core::policy_name(core::SolverOptions{}.policy));
 
   const sparse::CscMatrix a = make_proxy(matrix, scale);
 
@@ -179,6 +183,11 @@ int main(int argc, char** argv) {
   factor_an.set_comm_stats(factor_stats);
   const auto factor_rep = factor_an.analyze(top_k);
   print_report("factor", factor_rep, top_k);
+  // What the schedule trades for speed: fetched factor copies held live
+  // at once (summed per-rank high-waters).
+  const std::uint64_t staged = solver.report().peak_staged_bytes;
+  std::printf("   staged fetched copies: peak %.1f KiB summed over ranks\n",
+              static_cast<double>(staged) / 1024.0);
 
   // Symbolic-phase counters (the counters.def symbolic family): seeded
   // per rank from the views after every stats reset, so the phase is
@@ -233,7 +242,8 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     std::string doc = "{\"matrix\":\"" + matrix + "_proxy\",\"nranks\":" +
                       std::to_string(cfg.nranks) + ",\"policy\":\"" +
-                      core::policy_name(solver.options().policy) + "\"";
+                      core::policy_name(solver.options().policy) +
+                      "\",\"peak_staged_bytes\":" + std::to_string(staged);
     if (const auto* choice = solver.autotune_choice()) {
       doc += ",\"autotune\":" + autotune_json(*choice);
     }
