@@ -5,11 +5,14 @@
 // proxy matrices at a communication-bound rank count.
 //
 // All runs are protocol-only (the schedule and the machine-model
-// charges are what's being measured) on the legacy rendezvous
-// transport. The blocked sweep moves the same payload bytes as the
-// per-vector sweeps — solution and contribution panels are w columns
-// wide instead of w separate messages — so the win is pure per-message
-// overhead amortization plus gemm-shaped updates.
+// charges are what's being measured). The per-vector, blocked and
+// server legs run the legacy rendezvous transport. The blocked sweep
+// moves the same payload bytes as the per-vector sweeps — solution and
+// contribution panels are w columns wide instead of w separate
+// messages — so the win is pure per-message overhead amortization plus
+// gemm-shaped updates. The default leg is the blocked sweep at the
+// default CommOptions (eager + coalesced transport), i.e. what a user
+// who sets nothing gets.
 //
 // Options: --scale 0.6 --nodes 16 --ppn 4 --json <path>
 //
@@ -63,8 +66,8 @@ int main(int argc, char** argv) {
               "server pipeline (%d ranks) ==\n", nodes * ppn);
   bench::JsonReport report;
   support::AsciiTable table({"matrix", "nrhs", "per-vec (s)", "blocked (s)",
-                             "speedup", "server (s)", "blocked GF/s", "RHS/s",
-                             "MB moved"});
+                             "speedup", "server (s)", "default (s)",
+                             "blocked GF/s", "RHS/s", "MB moved"});
 
   bool gate_ok = true;
   for (const char* mat : {"flan", "bones", "thermal"}) {
@@ -79,26 +82,30 @@ int main(int argc, char** argv) {
     cfg.gpus_per_node = 4;
     cfg.device_memory_bytes = 4ull << 30;
 
-    auto make_solver = [&](pgas::Runtime& rt, int rhs_panel) {
+    // The legacy rendezvous transport isolates panel fusion and
+    // pipelining from the eager/coalesced transport defaults (bench_comm
+    // measures those).
+    core::CommOptions legacy;
+    legacy.eager_bytes = 0;
+    legacy.coalesce = false;
+    auto make_solver = [&](pgas::Runtime& rt, int rhs_panel,
+                           const core::CommOptions& comm) {
       core::SolverOptions sopts;
       sopts.numeric = false;  // protocol-only
       sopts.ordering = ordering::Method::kNatural;  // pre-permuted
       sopts.solve.rhs_panel = rhs_panel;
-      // Every leg runs the legacy rendezvous transport, so the columns
-      // isolate panel fusion and pipelining from the eager/coalesced
-      // transport defaults (bench_comm measures those).
-      sopts.comm.eager_bytes = 0;
-      sopts.comm.coalesce = false;
+      sopts.comm = comm;
       auto solver = std::make_unique<core::SymPackSolver>(rt, sopts);
       solver->symbolic_factorize(info.matrix);
       solver->factorize();
       return solver;
     };
 
-    pgas::Runtime rt_pv(cfg), rt_bl(cfg), rt_sv(cfg);
-    const auto pv = make_solver(rt_pv, 1);   // historical per-vector sweeps
-    const auto bl = make_solver(rt_bl, 0);   // fuse every column into one panel
-    const auto sv = make_solver(rt_sv, server_panel);
+    pgas::Runtime rt_pv(cfg), rt_bl(cfg), rt_sv(cfg), rt_df(cfg);
+    const auto pv = make_solver(rt_pv, 1, legacy);  // per-vector sweeps
+    const auto bl = make_solver(rt_bl, 0, legacy);  // one fused panel
+    const auto sv = make_solver(rt_sv, server_panel, legacy);
+    const auto df = make_solver(rt_df, 0, core::CommOptions{});
     core::SolveServer server(*sv);
 
     const std::int64_t factor_nnz = pv->report().factor_nnz;
@@ -118,6 +125,7 @@ int main(int argc, char** argv) {
       };
       const SolveRun per_vector = timed_solve(*pv, rt_pv);
       const SolveRun blocked = timed_solve(*bl, rt_bl);
+      const SolveRun by_default = timed_solve(*df, rt_df);
 
       SolveRun served;
       {
@@ -145,6 +153,7 @@ int main(int argc, char** argv) {
                      support::AsciiTable::fmt(blocked.sim_s, 4),
                      support::AsciiTable::fmt(speedup, 2),
                      support::AsciiTable::fmt(served.sim_s, 4),
+                     support::AsciiTable::fmt(by_default.sim_s, 4),
                      support::AsciiTable::fmt(gflops, 2),
                      support::AsciiTable::fmt(rhs_per_s, 1),
                      support::AsciiTable::fmt(
@@ -159,6 +168,7 @@ int main(int argc, char** argv) {
           .set("speedup", speedup)
           .set("server_s", served.sim_s)
           .set("server_panel", server_panel)
+          .set("default_s", by_default.sim_s)
           .set("blocked_gflops", gflops)
           .set("blocked_rhs_per_s", rhs_per_s)
           .set("per_vector_bytes_moved",

@@ -34,7 +34,7 @@ FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
     }
   }
   if (policy == Policy::kBottomLevel) {
-    snode_blevel_ = bottom_levels(sym, rt.model());
+    snode_blevel_ = taskrt::tree_levels(sym, rt.model()).blevel;
   }
   goal_factor_.resize(rt.nranks());
   goal_update_.resize(rt.nranks());
@@ -708,32 +708,12 @@ void FactorEngine::release_ref(pgas::Rank& rank, const FactorRef& ref) {
   });
 }
 
-std::vector<double> FactorEngine::bottom_levels(
-    const symbolic::SymbolicView& sym, const pgas::MachineModel& model) {
-  // One level of the tree also costs one signal: the panel's factor
-  // reaches its consumers by RPC and a pull.
-  const double level_s = model.rpc_overhead_s + model.net_latency_s;
-  // Parents have larger indices (see the depth sweep in the constructor).
-  const idx_t ns = sym.num_snodes();
-  std::vector<double> blevel(static_cast<std::size_t>(ns), 0.0);
-  for (idx_t k = ns - 1; k >= 0; --k) {
-    const auto& sn = sym.snode(k);
-    const double w = static_cast<double>(sn.width());
-    const double r = static_cast<double>(sn.nrows_below());
-    blevel[k] = w * w * w / 3.0 / (model.cpu_potrf_Gflops * 1e9) +
-                r * w * w / (model.cpu_trsm_Gflops * 1e9) + level_s;
-    if (!sn.below.empty()) blevel[k] += blevel[sym.snode_of(sn.below.front())];
-  }
-  return blevel;
-}
-
 std::int64_t FactorEngine::bottom_level_priority(double blevel_s,
                                                  bool panel_task) {
   // Whole picoseconds; clamped below the panel-task offset, so no
   // update outranks a panel task.
   constexpr std::int64_t kPanelTask = std::int64_t{1} << 62;
-  const auto level = static_cast<std::int64_t>(
-      std::min(blevel_s * 1e12, static_cast<double>(kPanelTask / 2)));
+  const std::int64_t level = taskrt::level_priority(blevel_s);
   return panel_task ? kPanelTask + level : level;
 }
 

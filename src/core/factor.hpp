@@ -65,6 +65,7 @@
 #include "core/taskrt/endpoint.hpp"
 #include "core/taskrt/ready_queue.hpp"
 #include "core/taskrt/stats.hpp"
+#include "core/taskrt/tree_levels.hpp"
 #include "core/taskrt/use_cache.hpp"
 #include "core/trace.hpp"
 #include "pgas/runtime.hpp"
@@ -101,19 +102,12 @@ class FactorEngine {
   /// outside its allocation registry).
   [[nodiscard]] std::uint64_t peak_staged_bytes() const;
 
-  /// Bottom level of every supernode (Policy::kBottomLevel), in
-  /// simulated seconds: the time of its POTRF (w³/3 flops) and TRSM
-  /// (r·w² flops; w = width, r = rows below the diagonal block) at the
-  /// model's CPU rates, plus one signal (RPC + pull latency), plus its
-  /// parent's bottom level. The latency term keeps deep chains of small
-  /// panels from ranking below a few heavy ones in latency-bound runs.
-  static std::vector<double> bottom_levels(const symbolic::SymbolicView& sym,
-                                           const pgas::MachineModel& model);
   /// Policy::kBottomLevel priority of a ready task whose supernode (D/F)
-  /// or source panel (U) has bottom level `blevel_s`: every panel task
-  /// outranks every update, and within each class the larger bottom
-  /// level pops first. The updates of one source panel share a
-  /// priority, so they pop together, in insertion order.
+  /// or source panel (U) has bottom level `blevel_s`
+  /// (taskrt::tree_levels): every panel task outranks every update, and
+  /// within each class the larger bottom level pops first. The updates
+  /// of one source panel share a priority, so they pop together, in
+  /// insertion order.
   static std::int64_t bottom_level_priority(double blevel_s, bool panel_task);
 
  private:
@@ -310,7 +304,8 @@ class FactorEngine {
   // Supernode depth in the supernodal elimination tree (root = 0).
   // Immutable after construction.
   std::vector<idx_t> snode_depth_;
-  // bottom_levels() in seconds, built only under Policy::kBottomLevel.
+  // taskrt::tree_levels() bottom levels in seconds, built only under
+  // Policy::kBottomLevel.
   // Immutable after construction.
   std::vector<double> snode_blevel_;
 

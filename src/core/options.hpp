@@ -15,7 +15,12 @@ namespace sympack::core {
 
 /// RTQ scheduling policy (paper §3.4 leaves this as future work and uses
 /// "whichever task is at the top of the queue"; we expose the knob for
-/// the scheduling ablation).
+/// the scheduling ablation). The lines below order the factorization.
+/// The triangular solve has one order for the three heap policies
+/// (kPriority, kCriticalPath, kBottomLevel): the task with the longest
+/// remaining chain first, forward by the bottom level of the segment it
+/// feeds, backward by that segment's subtree height (core/solve.hpp).
+/// Under kFifo and kLifo the solve runs FIFO.
 ///   kFifo / kLifo      queue order
 ///   kPriority          lowest target supernode first
 ///   kCriticalPath      deepest supernode first (tasks feeding the

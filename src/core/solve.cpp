@@ -35,6 +35,10 @@ SolveEngine::SolveEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
   seg_.resize(ns);
   deps_.init(ns);  // once: ready times carry across the two sweeps
   per_rank_.resize(rt.nranks());
+  if (taskrt::heap_policy(opts_.policy)) {
+    levels_ = taskrt::tree_levels(sym, rt.model());
+    for (PerRank& pr : per_rank_) pr.tasks.set_policy(opts_.policy);
+  }
   net_.init(rt, opts_.fault, tracer, opts_.comm, opts_.resilience);
 }
 
@@ -148,8 +152,8 @@ void SolveEngine::reset_phase(bool backward) {
   // contributions (leaves forward, roots backward).
   for (idx_t k = 0; k < sym_->num_snodes(); ++k) {
     if (deps_.count(k) == 0) {
-      per_rank_[map(k, k)].tasks.push(
-          Task{Task::Type::kDiag, k, 0, nullptr, deps_.ready(k)});
+      push(map(k, k), Task{Task::Type::kDiag, k, 0, nullptr, deps_.ready(k)},
+           backward);
     }
   }
 }
@@ -246,68 +250,76 @@ void SolveEngine::publish_solution(pgas::Rank& rank, idx_t k, bool backward) {
   consumers.erase(std::unique(consumers.begin(), consumers.end()),
                   consumers.end());
 
-  // Local consumers: enqueue their contribution tasks directly.
-  auto enqueue_local = [&](int rank_id, const double* operand, double ready) {
-    PerRank& pr = per_rank_[rank_id];
-    if (!backward) {
-      for (BlockSlot slot = 1;
-           slot <= static_cast<idx_t>(sn.blocks.size()); ++slot) {
-        if (map(sn.blocks[slot - 1].target, k) == rank_id) {
-          pr.tasks.push(Task{Task::Type::kContrib, k, slot, operand, ready});
-        }
-      }
-    } else {
-      for (const auto& [panel, slot] : target_blocks_[k]) {
-        if (map(k, panel) == rank_id) {
-          pr.tasks.push(
-              Task{Task::Type::kContrib, panel, slot, operand, ready});
-        }
-      }
-    }
-  };
-
   const bool has_remote =
       std::any_of(consumers.begin(), consumers.end(),
                   [me](int r) { return r != me; });
 
-  if (net_.eager(bytes)) {
-    // Eager: the segment rides inside the signal; one shared buffer
-    // serves every remote consumer (and ledger retransmits).
-    std::shared_ptr<const double> payload;
-    if (store_->numeric() && has_remote) {
-      auto buf = pgas::shared_host_buffer(rank, bytes / sizeof(double));
-      std::memcpy(buf.get(), seg_[k].data(), bytes);
-      payload = std::move(buf);
-    }
-    for (int r : consumers) {
-      if (r == me) {
-        enqueue_local(me, store_->numeric() ? seg_[k].data() : nullptr,
-                      rank.now());
-      } else {
-        net_.send(rank, r,
-                  Msg{Msg::Type::kX, k, 0, 0, pgas::GlobalPtr{}, bytes,
-                      static_cast<std::uint32_t>(bytes), payload});
-      }
-    }
-    return;
-  }
-
-  // Publish the segment one-sidedly: remote consumers receive a signal
-  // and pull the segment with rget, exactly like factor blocks.
+  // Eager (DESIGN.md §4e): the segment rides inside the signal; one
+  // shared buffer serves every remote consumer (and ledger retransmits).
+  // Otherwise it is published one-sidedly: remote consumers receive a
+  // signal and pull the segment with rget, exactly like factor blocks.
+  const bool eager = net_.eager(bytes);
+  std::shared_ptr<const double> payload;
   pgas::GlobalPtr src{};
-  if (store_->numeric()) {
+  if (store_->numeric() && eager && has_remote) {
+    auto buf = pgas::shared_host_buffer(rank, bytes / sizeof(double));
+    std::memcpy(buf.get(), seg_[k].data(), bytes);
+    payload = std::move(buf);
+  } else if (store_->numeric() && !eager) {
     src = rank.pool_allocate_host(bytes);
     std::memcpy(src.addr, seg_[k].data(), bytes);
     per_rank_[me].owned_buffers.push_back(src);
   }
   for (int r : consumers) {
     if (r == me) {
-      enqueue_local(me, store_->numeric() ? seg_[k].data() : nullptr,
-                    rank.now());
+      // Local consumers: enqueue their contribution tasks directly.
+      enqueue_consumers(me, k, store_->numeric() ? seg_[k].data() : nullptr,
+                        rank.now(), backward);
     } else {
-      net_.send(rank, r, Msg{Msg::Type::kX, k, 0, 0, src, bytes, 0, nullptr});
+      net_.send(rank, r,
+                Msg{Msg::Type::kX, k, 0, 0, src, bytes,
+                    eager ? static_cast<std::uint32_t>(bytes) : 0u, payload});
     }
   }
+}
+
+void SolveEngine::enqueue_consumers(int rank_id, idx_t k,
+                                    const double* operand, double ready,
+                                    bool backward) {
+  const auto& map = tg_->mapping();
+  if (!backward) {
+    const auto& blocks = sym_->snode(k).blocks;
+    for (BlockSlot slot = 1; slot <= static_cast<idx_t>(blocks.size());
+         ++slot) {
+      if (map(blocks[slot - 1].target, k) == rank_id) {
+        push(rank_id, Task{Task::Type::kContrib, k, slot, operand, ready},
+             backward);
+      }
+    }
+  } else {
+    for (const auto& [panel, slot] : target_blocks_[k]) {
+      if (map(k, panel) == rank_id) {
+        push(rank_id, Task{Task::Type::kContrib, panel, slot, operand, ready},
+             backward);
+      }
+    }
+  }
+}
+
+void SolveEngine::push(int rank_id, const Task& task, bool backward) {
+  taskrt::ReadyQueue<Task>& q = per_rank_[rank_id].tasks;
+  q.push(task, taskrt::heap_policy(q.policy())
+                   ? task_priority(*sym_, levels_, task.k, task.slot, backward)
+                   : 0);
+}
+
+std::int64_t SolveEngine::task_priority(const symbolic::SymbolicView& sym,
+                                        const taskrt::TreeLevels& levels,
+                                        idx_t k, BlockSlot slot,
+                                        bool backward) {
+  if (backward) return taskrt::level_priority(levels.height[k]);
+  const idx_t fed = slot == 0 ? k : sym.snode(k).blocks[slot - 1].target;
+  return taskrt::level_priority(levels.blevel[fed]);
 }
 
 void SolveEngine::handle_msg(pgas::Rank& rank, const Msg& msg,
@@ -347,25 +359,8 @@ void SolveEngine::handle_msg(pgas::Rank& rank, const Msg& msg,
       ++rank.stats().gets;
       rank.stats().bytes_from_host += msg.bytes;
     }
-    const idx_t k = msg.k;
-    stats_.fetch_mark(me, k, 0, ready);
-    const auto& sn = sym_->snode(k);
-    const auto& map = tg_->mapping();
-    if (!backward) {
-      for (BlockSlot slot = 1;
-           slot <= static_cast<idx_t>(sn.blocks.size()); ++slot) {
-        if (map(sn.blocks[slot - 1].target, k) == me) {
-          pr.tasks.push(Task{Task::Type::kContrib, k, slot, operand, ready});
-        }
-      }
-    } else {
-      for (const auto& [panel, slot] : target_blocks_[k]) {
-        if (map(k, panel) == me) {
-          pr.tasks.push(
-              Task{Task::Type::kContrib, panel, slot, operand, ready});
-        }
-      }
-    }
+    stats_.fetch_mark(me, msg.k, 0, ready);
+    enqueue_consumers(me, msg.k, operand, ready, backward);
     return;
   }
 
@@ -516,9 +511,10 @@ void SolveEngine::apply_contribution(pgas::Rank& rank, idx_t panel,
     }
   }
   if (deps_.satisfy(dest, ready)) {
-    per_rank_[rank.id()].tasks.push(
-        Task{Task::Type::kDiag, dest, 0, nullptr,
-             std::max(deps_.ready(dest), rank.now())});
+    push(rank.id(),
+         Task{Task::Type::kDiag, dest, 0, nullptr,
+              std::max(deps_.ready(dest), rank.now())},
+         backward);
   }
 }
 

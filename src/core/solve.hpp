@@ -13,11 +13,17 @@
 //             blocks *targeting* s; each computes w = B_{s,k}^T x_s|rows
 //             and fans it in to the owner of panel k.
 //
-// Tasks run FIFO (the policy ablation targets the factorization); the
-// queue, per-segment dependency counters, and the message transport with
-// its recovery protocol are the shared core/taskrt/ layer. The endpoint
-// is reset between the sweeps: sequence numbers restart so the forward
-// ledger cannot satisfy backward-sweep re-requests.
+// The solve is bound by the dependency chain through the tree, not by
+// flops, so under the heap policies (kPriority, kCriticalPath and the
+// default kBottomLevel) each rank pops the task with the longest
+// remaining chain first: forward by the bottom level of the segment the
+// task feeds, backward by that segment's subtree height (task_priority;
+// the levels are taskrt::tree_levels, shared with the factorization).
+// kFifo and kLifo run the solve FIFO. The queue, per-segment dependency
+// counters, and the message transport with its recovery protocol are
+// the shared core/taskrt/ layer. The endpoint is reset between the
+// sweeps: sequence numbers restart so the forward ledger cannot satisfy
+// backward-sweep re-requests.
 //
 // Thread-safety (audited; see DESIGN.md "Threading memory model" and
 // §4d): no locks because every mutable member is single-writer.
@@ -42,6 +48,7 @@
 #include "core/taskrt/endpoint.hpp"
 #include "core/taskrt/ready_queue.hpp"
 #include "core/taskrt/stats.hpp"
+#include "core/taskrt/tree_levels.hpp"
 #include "core/trace.hpp"
 #include "pgas/runtime.hpp"
 #include "symbolic/view.hpp"
@@ -91,6 +98,15 @@ class SolveEngine {
   pgas::Step step_phase(pgas::Rank& rank);
   void gather(double* x);
 
+  /// Ready-queue priority of a solve task under the heap policies: the
+  /// level of the segment the task feeds, in whole picoseconds. Forward,
+  /// Y k (slot 0) feeds k and C (panel k, slot) feeds
+  /// blocks[slot-1].target, each ranked by bottom level; backward, X k
+  /// and Z (panel k, slot) both feed k, ranked by subtree height.
+  static std::int64_t task_priority(const symbolic::SymbolicView& sym,
+                                    const taskrt::TreeLevels& levels,
+                                    idx_t k, BlockSlot slot, bool backward);
+
  private:
   struct Msg {
     enum class Type : std::uint8_t { kX, kContrib } type;
@@ -118,7 +134,8 @@ class SolveEngine {
     double ready;
   };
   struct PerRank {
-    taskrt::ReadyQueue<Task> tasks;  // always FIFO in the solve phase
+    /// Heap by task_priority under the heap policies, else FIFO.
+    taskrt::ReadyQueue<Task> tasks;
     idx_t done_diag = 0;
     idx_t done_contrib = 0;
     std::vector<pgas::GlobalPtr> owned_buffers;  // freed at phase end
@@ -134,6 +151,13 @@ class SolveEngine {
   void execute_diag(pgas::Rank& rank, idx_t k, bool backward);
   void execute_contrib(pgas::Rank& rank, const Task& task, bool backward);
   void publish_solution(pgas::Rank& rank, idx_t k, bool backward);
+  /// Enqueue on `rank_id` the contribution tasks that consume segment k
+  /// (forward: panel-k blocks; backward: blocks targeting k).
+  void enqueue_consumers(int rank_id, idx_t k, const double* operand,
+                         double ready, bool backward);
+  /// The one push site: every ready task enters its rank's queue here,
+  /// with its task_priority.
+  void push(int rank_id, const Task& task, bool backward);
   void apply_contribution(pgas::Rank& rank, idx_t panel, BlockSlot slot,
                           const double* z, double ready, bool backward);
   void drive_phase();
@@ -150,6 +174,8 @@ class SolveEngine {
   int nrhs_ = 1;          // columns carried by the sweep in flight
   bool cur_backward_ = false;  // which sweep step_phase() advances
 
+  // Tree levels for task_priority; empty unless the queues are heaps.
+  taskrt::TreeLevels levels_;
   // (panel, slot) pairs targeting each supernode (transpose structure).
   std::vector<std::vector<std::pair<idx_t, BlockSlot>>> target_blocks_;
   // Per-supernode RHS/solution segment, owned by the diagonal owner.

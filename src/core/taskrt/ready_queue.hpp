@@ -7,18 +7,22 @@
 // task payload:
 //
 //   kFifo / kLifo      plain deque ends;
-//   kPriority /        binary max-heap maintained in place with
+//   kPriority /        binary max-heap in a vector, maintained with
 //   kCriticalPath /    std::push_heap/pop_heap — higher priority pops
 //   kBottomLevel       first, ties broken by lower insertion sequence,
 //                      reproducing a stable linear-scan selection in
 //                      O(log n) (the scan went quadratic on the deep RTQs
 //                      of irregular matrices, e.g. the thermal_proxy
-//                      regime).
+//                      regime). A vector, not the deque: its iterators
+//                      are plain pointers, which halved the protocol
+//                      host time of the level-ordered solve.
 //
-// The *meaning* of the priority stays with the engine (kPriority uses
-// -supernode, kCriticalPath elimination-tree depth, kBottomLevel the
-// timed bottom level, panel tasks first); the queue only
-// orders by the int64 it is handed. Same single-writer rule as the rest
+// The *meaning* of the priority stays with the engine. The factorization
+// gives kPriority -supernode, kCriticalPath elimination-tree depth and
+// kBottomLevel the timed bottom level, panel tasks first; the solve
+// gives every heap policy the tree level of the segment a task feeds
+// (taskrt/tree_levels.hpp). The queue only orders by the int64 it is
+// handed. Same single-writer rule as the rest
 // of the per-rank engine state (DESIGN.md §4d): each instance belongs to
 // one rank and is only touched by the thread driving that rank.
 #pragma once
@@ -28,10 +32,18 @@
 #include <cstdint>
 #include <deque>
 #include <utility>
+#include <vector>
 
 #include "core/options.hpp"
 
 namespace sympack::core::taskrt {
+
+/// The policies the queue serves from its priority heap; kFifo and kLifo
+/// (and an unresolved kAuto) keep plain deque order.
+constexpr bool heap_policy(Policy p) {
+  return p == Policy::kPriority || p == Policy::kCriticalPath ||
+         p == Policy::kBottomLevel;
+}
 
 template <typename Task>
 class ReadyQueue {
@@ -44,41 +56,41 @@ class ReadyQueue {
   void set_policy(Policy policy) { policy_ = policy; }
   [[nodiscard]] Policy policy() const { return policy_; }
 
-  [[nodiscard]] bool empty() const { return q_.empty(); }
-  [[nodiscard]] std::size_t size() const { return q_.size(); }
+  [[nodiscard]] bool empty() const { return q_.empty() && heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return q_.size() + heap_.size(); }
 
   /// Enqueue a ready task. `prio` is consulted only by the heap policies
   /// (FIFO/LIFO callers may pass anything; 0 by convention).
   void push(Task task, std::int64_t prio = 0) {
-    if (heaped()) {
-      q_.push_back(Entry{std::move(task), prio, next_seq_++});
-      std::push_heap(q_.begin(), q_.end(), heap_less);
+    if (heap_policy(policy_)) {
+      heap_.push_back(Entry{std::move(task), prio, next_seq_++});
+      std::push_heap(heap_.begin(), heap_.end(), heap_less);
       return;
     }
-    q_.push_back(Entry{std::move(task), 0, 0});
+    q_.push_back(std::move(task));
   }
 
   /// Dequeue the next task per the policy. Precondition: !empty().
   Task pop() {
     switch (policy_) {
       case Policy::kLifo: {
-        Task t = std::move(q_.back().task);
+        Task t = std::move(q_.back());
         q_.pop_back();
         return t;
       }
       case Policy::kPriority:
       case Policy::kCriticalPath:
       case Policy::kBottomLevel: {
-        std::pop_heap(q_.begin(), q_.end(), heap_less);
-        Task t = std::move(q_.back().task);
-        q_.pop_back();
+        std::pop_heap(heap_.begin(), heap_.end(), heap_less);
+        Task t = std::move(heap_.back().task);
+        heap_.pop_back();
         return t;
       }
       case Policy::kFifo:
       case Policy::kAuto:  // resolved before any engine runs; FIFO if not
         break;
     }
-    Task t = std::move(q_.front().task);
+    Task t = std::move(q_.front());
     q_.pop_front();
     return t;
   }
@@ -89,26 +101,23 @@ class ReadyQueue {
   [[nodiscard]] double next_ready() const {
     // LIFO pops the back; FIFO the front; the heap policies their top,
     // which std::push_heap keeps at the front.
-    return (policy_ == Policy::kLifo ? q_.back() : q_.front()).task.ready;
+    if (heap_policy(policy_)) return heap_.front().task.ready;
+    return (policy_ == Policy::kLifo ? q_.back() : q_.front()).ready;
   }
 
   /// Drop everything (solve phases reuse one queue across sweeps).
   void clear() {
     q_.clear();
+    heap_.clear();
     next_seq_ = 0;
   }
 
  private:
   struct Entry {
     Task task;
-    std::int64_t prio;   // heap policies only
-    std::uint64_t seq;   // insertion counter for heap tie-breaks
+    std::int64_t prio;
+    std::uint64_t seq;  // insertion counter for tie-breaks
   };
-
-  [[nodiscard]] bool heaped() const {
-    return policy_ == Policy::kPriority || policy_ == Policy::kCriticalPath ||
-           policy_ == Policy::kBottomLevel;
-  }
 
   /// "Less" for a max-heap at the front: higher prio wins, ties go to
   /// the earlier insertion.
@@ -118,7 +127,8 @@ class ReadyQueue {
   }
 
   Policy policy_ = Policy::kFifo;
-  std::deque<Entry> q_;
+  std::deque<Task> q_;       // kFifo / kLifo
+  std::vector<Entry> heap_;  // the heap policies
   std::uint64_t next_seq_ = 0;
 };
 

@@ -36,13 +36,16 @@
 #include "common.hpp"
 #include "core/critpath.hpp"
 #include "core/factor.hpp"
+#include "core/solve.hpp"
 #include "core/solver.hpp"
 #include "core/taskrt/dep_tracker.hpp"
 #include "core/taskrt/ready_queue.hpp"
+#include "core/taskrt/tree_levels.hpp"
 #include "core/trace.hpp"
 #include "ordering/etree.hpp"
 #include "ordering/ordering.hpp"
 #include "sparse/coo.hpp"
+#include "sparse/densevec.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permute.hpp"
 #include "support/json.hpp"
@@ -211,7 +214,7 @@ TEST(BottomLevel, SumsPanelCostsUpTheTree) {
   const auto& sym = *t->view;
   ASSERT_EQ(sym.num_snodes(), 6);
   const pgas::MachineModel model;
-  const auto blevel = core::FactorEngine::bottom_levels(sym, model);
+  const auto blevel = core::taskrt::tree_levels(sym, model).blevel;
   // c(k): POTRF + TRSM time at the CPU rates plus one signal.
   auto cost = [&](sparse::idx_t k) {
     const double w = static_cast<double>(sym.snode(k).width());
@@ -243,7 +246,7 @@ TEST(BottomLevel, SumsPanelCostsUpTheTree) {
 TEST(BottomLevel, PanelTasksFirstAndUpdatesGroupedBySource) {
   const auto t = hand_built_tree();
   const auto blevel =
-      core::FactorEngine::bottom_levels(*t->view, pgas::MachineModel{});
+      core::taskrt::tree_levels(*t->view, pgas::MachineModel{}).blevel;
   struct Task {
     bool panel;
     sparse::idx_t k;  // the supernode (panel task) or source panel (update)
@@ -312,6 +315,149 @@ TEST(BottomLevel, StagesNoMoreThanCriticalPath) {
     EXPECT_GT(by_default, 0u) << name;
     EXPECT_LE(by_default, staged(core::Policy::kCriticalPath)) << name;
   }
+}
+
+// ---------------------------------------------------------------------
+// Solve-sweep order on the same tree: forward tasks rank by the bottom
+// level of the segment they feed, backward tasks by its subtree height.
+
+TEST(SolveLevels, HeightIsTheTallestChainBelow) {
+  const auto t = hand_built_tree();
+  const auto levels = core::taskrt::tree_levels(*t->view, pgas::MachineModel{});
+  const auto& c = levels.cost;
+  // A0 -> A1 -> R1 and B0 -> B1 -> R0 -> R1 (supernodes 0..5).
+  EXPECT_NEAR(levels.height[0], c[0], 1e-15);
+  EXPECT_NEAR(levels.height[1], c[1] + c[0], 1e-15);
+  EXPECT_NEAR(levels.height[2], c[2], 1e-15);
+  EXPECT_NEAR(levels.height[3], c[3] + c[2], 1e-15);
+  EXPECT_NEAR(levels.height[4], c[4] + c[3] + c[2], 1e-15);
+  EXPECT_NEAR(levels.height[5],
+              c[5] + std::max(levels.height[1], levels.height[4]), 1e-15);
+  // The root's bottom level is its own cost; a leaf's height is too.
+  EXPECT_NEAR(levels.blevel[5], c[5], 1e-15);
+  for (sparse::idx_t k = 0; k < 6; ++k) EXPECT_GT(c[k], 0.0) << k;
+}
+
+TEST(SolveLevels, ForwardRanksByBottomLevelOfTheSegmentFed) {
+  const auto t = hand_built_tree();
+  const auto& sym = *t->view;
+  const auto levels = core::taskrt::tree_levels(sym, pgas::MachineModel{});
+  for (sparse::idx_t k = 0; k < sym.num_snodes(); ++k) {
+    // Y k feeds segment k.
+    EXPECT_EQ(core::SolveEngine::task_priority(sym, levels, k, 0, false),
+              core::taskrt::level_priority(levels.blevel[k]))
+        << "Y " << k;
+    // C (k, slot) folds B_{s,k} y_k into segment s.
+    const auto& blocks = sym.snode(k).blocks;
+    for (sparse::idx_t slot = 1;
+         slot <= static_cast<sparse::idx_t>(blocks.size()); ++slot) {
+      const sparse::idx_t s = blocks[slot - 1].target;
+      EXPECT_EQ(core::SolveEngine::task_priority(sym, levels, k, slot, false),
+                core::taskrt::level_priority(levels.blevel[s]))
+          << "C " << k << ":" << slot;
+    }
+  }
+  // B0 heads the longest chain to the root, so its Y pops before A0's.
+  EXPECT_GT(core::SolveEngine::task_priority(sym, levels, 2, 0, false),
+            core::SolveEngine::task_priority(sym, levels, 0, 0, false));
+}
+
+TEST(SolveLevels, BackwardRanksBySubtreeHeight) {
+  const auto t = hand_built_tree();
+  const auto& sym = *t->view;
+  const auto levels = core::taskrt::tree_levels(sym, pgas::MachineModel{});
+  for (sparse::idx_t k = 0; k < sym.num_snodes(); ++k) {
+    // X k and every Z (k, slot) feed segment k.
+    const auto expected = core::taskrt::level_priority(levels.height[k]);
+    EXPECT_EQ(core::SolveEngine::task_priority(sym, levels, k, 0, true),
+              expected)
+        << "X " << k;
+    const auto nslots =
+        static_cast<sparse::idx_t>(sym.snode(k).blocks.size());
+    for (sparse::idx_t slot = 1; slot <= nslots; ++slot) {
+      EXPECT_EQ(core::SolveEngine::task_priority(sym, levels, k, slot, true),
+                expected)
+          << "Z " << k << ":" << slot;
+    }
+  }
+  // R0 (over B1, B0) is taller than A1 (over A0): X R0 pops first.
+  ASSERT_GT(levels.height[4], levels.height[1]);
+  EXPECT_GT(core::SolveEngine::task_priority(sym, levels, 4, 0, true),
+            core::SolveEngine::task_priority(sym, levels, 1, 0, true));
+}
+
+TEST(SolveLevels, FifoPopsInInsertionOrderAndHeapsByLevel) {
+  const auto t = hand_built_tree();
+  const auto& sym = *t->view;
+  const auto levels = core::taskrt::tree_levels(sym, pgas::MachineModel{});
+  struct Task {
+    sparse::idx_t k;
+    sparse::idx_t slot;
+    double ready;
+  };
+  // Every forward task of the tree, leaves last.
+  std::vector<Task> pushed;
+  for (sparse::idx_t k = sym.num_snodes() - 1; k >= 0; --k) {
+    const auto nslots =
+        static_cast<sparse::idx_t>(sym.snode(k).blocks.size());
+    for (sparse::idx_t slot = 0; slot <= nslots; ++slot) {
+      pushed.push_back({k, slot, 0.0});
+    }
+  }
+  auto drain = [&](core::Policy policy) {
+    core::taskrt::ReadyQueue<Task> q(policy);
+    for (const Task& task : pushed) {
+      q.push(task, core::SolveEngine::task_priority(sym, levels, task.k,
+                                                    task.slot, false));
+    }
+    std::vector<Task> popped;
+    while (!q.empty()) popped.push_back(q.pop());
+    return popped;
+  };
+  const auto fifo = drain(core::Policy::kFifo);
+  ASSERT_EQ(fifo.size(), pushed.size());
+  for (std::size_t i = 0; i < fifo.size(); ++i) {
+    EXPECT_EQ(fifo[i].k, pushed[i].k) << "pop " << i;
+    EXPECT_EQ(fifo[i].slot, pushed[i].slot) << "pop " << i;
+  }
+  const auto heap = drain(core::Policy::kBottomLevel);
+  ASSERT_EQ(heap.size(), pushed.size());
+  for (std::size_t i = 1; i < heap.size(); ++i) {
+    EXPECT_GE(core::SolveEngine::task_priority(sym, levels, heap[i - 1].k,
+                                               heap[i - 1].slot, false),
+              core::SolveEngine::task_priority(sym, levels, heap[i].k,
+                                               heap[i].slot, false))
+        << "pop " << i;
+  }
+  // Y B0 feeds the deepest segment: it leaves the heap first.
+  EXPECT_EQ(heap.front().k, 2);
+  EXPECT_EQ(heap.front().slot, 0);
+}
+
+// Through the engine: the solve restarts the clocks, so its schedule
+// depends on the queue order alone. FIFO and LIFO both run it FIFO; the
+// three heap policies share the levels and so the schedule, and on the
+// thermal proxy they shorten the solve.
+TEST(SolveLevels, OnlyHeapPoliciesReorderTheSolve) {
+  const auto a = sparse::thermal_proxy(0.005);
+  const auto b = sparse::rhs_for_ones(a);
+  auto solve_s = [&](core::Policy policy) {
+    pgas::Runtime rt(pgas::Runtime::Config{.nranks = 8, .ranks_per_node = 4});
+    core::SolverOptions opts;
+    opts.policy = policy;
+    core::SymPackSolver solver(rt, opts);
+    solver.symbolic_factorize(a);
+    solver.factorize();
+    EXPECT_LT(sparse::relative_residual(a, solver.solve(b), b), 1e-10)
+        << core::policy_name(policy);
+    return solver.report().solve_sim_s;
+  };
+  const double fifo = solve_s(core::Policy::kFifo);
+  const double by_level = solve_s(core::Policy::kBottomLevel);
+  EXPECT_EQ(solve_s(core::Policy::kLifo), fifo);
+  EXPECT_EQ(solve_s(core::Policy::kPriority), by_level);
+  EXPECT_EQ(solve_s(core::Policy::kCriticalPath), by_level);
+  EXPECT_LT(by_level, fifo);
 }
 
 // ---------------------------------------------------------------------

@@ -609,16 +609,18 @@ const DefaultGolden kGoldenSubtreeLayer[] = {
 constexpr auto kBottomLevel = core::Policy::kBottomLevel;
 
 // Default SolverOptions and a default Runtime::Config as they are: the
-// bottom-level ready queue on the subtree layer. Captured when
-// bottom-level became the default policy; the factor hashes differ from
-// the kGoldenSubtreeLayer rows, while the solve hashes equal them (the
-// policy orders factorization tasks only).
+// bottom-level ready queue on the subtree layer. The factor hashes were
+// captured when bottom-level became the default policy and differ from
+// the kGoldenSubtreeLayer rows. The solve hashes were captured when the
+// heap policies began to order the solve sweeps by tree level (forward
+// by bottom level, backward by subtree height); under FIFO the solve
+// hashes equal the kGoldenSubtreeLayer rows.
 const DefaultGolden kGoldenBottomLevel[] = {
-    {"flan", 0x118da35a9c500cdaull, 0xfb2bc7844bfd767full, false,
+    {"flan", 0x118da35a9c500cdaull, 0xf98f16aa024a5d5full, false,
      pgas::Progress::kArrival, kLayer, kBottomLevel},
-    {"bones", 0x8e4ac7fd391bb8ffull, 0x9f75fb0bf55b5a7full, false,
+    {"bones", 0x8e4ac7fd391bb8ffull, 0x6d2aeb2e91845b87ull, false,
      pgas::Progress::kArrival, kLayer, kBottomLevel},
-    {"thermal", 0x69ab3a0aa3837768ull, 0xce2dbd688f60e332ull, false,
+    {"thermal", 0x69ab3a0aa3837768ull, 0x2d2dd0f90d741db2ull, false,
      pgas::Progress::kArrival, kLayer, kBottomLevel},
 };
 

@@ -828,6 +828,39 @@ TEST(SolveServer, OverlapOffIsSequentialAndMatches) {
   }
 }
 
+// The pipelined server under the default policy, whose solve queues
+// pop by tree level: two engines interleave the backward sweep of one
+// panel with the forward sweep of the next on one rank clock, and every
+// column still solves the system.
+TEST(SolveServer, OverlappedDrainSolvesUnderLevelOrder) {
+  pgas::Runtime rt(cluster(8));
+  const auto a = sparse::thermal_irregular(16, 16, 0.4, 3);
+  SolverOptions opts;
+  opts.solve.rhs_panel = 4;
+  ASSERT_TRUE(opts.solve.server_overlap);
+  ASSERT_EQ(opts.policy, Policy::kBottomLevel);
+  SymPackSolver solver(rt, opts);
+  solver.symbolic_factorize(a);
+  solver.factorize();
+  SolveServer server(solver);
+
+  const auto n = static_cast<std::size_t>(a.n());
+  support::Xoshiro256 rng(23);
+  std::vector<double> b(n * 10);
+  for (auto& v : b) v = rng.next_in(-1, 1);
+  EXPECT_TRUE(server.submit(b, 10));
+  const auto xs = server.drain();
+  ASSERT_EQ(xs.size(), 1u);
+  EXPECT_EQ(server.stats().panels, 3);      // 4 + 4 + 2 columns
+  EXPECT_EQ(server.stats().overlapped, 2);  // both engines in flight
+  for (std::size_t c = 0; c < 10; ++c) {
+    const std::vector<double> bc(b.begin() + c * n, b.begin() + (c + 1) * n);
+    const std::vector<double> xc(xs[0].begin() + c * n,
+                                 xs[0].begin() + (c + 1) * n);
+    EXPECT_LT(sparse::relative_residual(a, xc, bc), 1e-9) << "column " << c;
+  }
+}
+
 TEST(SolveServer, AdmissionCapRejects) {
   pgas::Runtime rt(cluster(2));
   const auto a = sparse::grid2d_laplacian(8, 8);

@@ -88,6 +88,8 @@ struct RunResult {
   double factor_residual = 0.0;
   std::vector<double> factor;
   pgas::CommStats stats;  // factorization + solve, aggregated over ranks
+  pgas::CommStats factor_stats;  // the factorization alone
+  std::vector<double> x;         // the solve leg's solution
   std::uint64_t fallbacks = 0;
   std::uint64_t peak_bytes = 0;
   std::size_t device_bytes_left = 0;
@@ -112,11 +114,13 @@ RunResult run_solver(const CscMatrix& a, int nranks, bool threaded,
   core::SymPackSolver solver(rt, opts);
   solver.symbolic_factorize(a);
   solver.factorize();
+  RunResult r;
+  r.factor_stats = rt.total_stats();
   const auto b = sparse::rhs_for_ones(a);
   const auto x = solver.solve(b);
 
-  RunResult r;
   r.factor_residual = sparse::relative_residual(a, x, b);
+  r.x = x;
   r.factor = solver.dense_factor();
   r.stats = rt.total_stats();
   r.fallbacks = solver.report().gpu_fallbacks;
@@ -175,6 +179,15 @@ TEST_P(ThreadedParity, MatchesSequentialDriver) {
   EXPECT_EQ(seq.fallbacks, 0u);
   EXPECT_EQ(thr.fallbacks, 0u);
   expect_stats_equal(seq.stats, thr.stats);
+  // The solve leg on its own (the heap policies order its sweeps by
+  // tree level, FIFO and LIFO run them FIFO): with the factorization's
+  // counters equal, equal totals mean equal solve counters too, and the
+  // solutions agree to rounding.
+  expect_stats_equal(seq.factor_stats, thr.factor_stats);
+  ASSERT_EQ(seq.x.size(), thr.x.size());
+  for (std::size_t i = 0; i < seq.x.size(); ++i) {
+    ASSERT_NEAR(seq.x[i], thr.x[i], 1e-9) << "x entry " << i;
+  }
 
   // Memory sanity: everything returned to the device segments, and the
   // threaded peak stays in the same regime as the sequential one (more
@@ -277,6 +290,12 @@ TEST_P(ArrivalRepeat, FactorizeAndSolveReproduceBitForBit) {
   const auto& [variant, policy] = GetParam();
   const auto a = sparse::bones_proxy(0.02);
   const auto b = sparse::rhs_for_ones(a);
+  // A fused four-column panel as well: more messages per sweep, so more
+  // room for the ready queue to reorder.
+  std::vector<double> b4;
+  for (int c = 1; c <= 4; ++c) {
+    for (const double v : b) b4.push_back(c * v);
+  }
   pgas::Runtime rt(cluster(8, /*threaded=*/false));
   core::SolverOptions opts;
   opts.variant = variant;
@@ -284,9 +303,9 @@ TEST_P(ArrivalRepeat, FactorizeAndSolveReproduceBitForBit) {
   core::SymPackSolver solver(rt, opts);
   solver.symbolic_factorize(a);
   struct Pass {
-    double factor_sim_s, solve_sim_s;
+    double factor_sim_s, solve_sim_s, solve4_sim_s;
     pgas::CommStats factor_stats, solve_stats;
-    std::vector<double> x;
+    std::vector<double> x, x4;
   };
   const auto pass = [&] {
     Pass p;
@@ -298,6 +317,8 @@ TEST_P(ArrivalRepeat, FactorizeAndSolveReproduceBitForBit) {
     p.x = solver.solve(b);
     p.solve_sim_s = solver.report().solve_sim_s;
     p.solve_stats = rt.total_stats();
+    p.x4 = solver.solve(b4, 4);
+    p.solve4_sim_s = solver.report().solve_sim_s;
     return p;
   };
   const Pass first = pass();
@@ -311,6 +332,8 @@ TEST_P(ArrivalRepeat, FactorizeAndSolveReproduceBitForBit) {
             second.factor_stats.coalesced_signals);
   EXPECT_EQ(first.factor_stats.eager_sends, second.factor_stats.eager_sends);
   EXPECT_EQ(first.x, second.x);
+  EXPECT_EQ(first.solve4_sim_s, second.solve4_sim_s);
+  EXPECT_EQ(first.x4, second.x4);
 }
 
 std::string repeat_name(const ::testing::TestParamInfo<RepeatParam>& info) {

@@ -18,7 +18,11 @@
 //   --ppn     int                  ranks per node (default 4)
 //   --policy  fifo|lifo|priority|critical-path|bottom-level|auto
 //                                  (default: the library default,
-//                                  bottom-level)
+//                                  bottom-level). Orders the solve
+//                                  phase too: by tree level under
+//                                  priority, critical-path and
+//                                  bottom-level, FIFO under fifo and
+//                                  lifo
 //   --auto    bool                 shorthand for --policy auto
 //   --numeric bool                 real numerics (default false:
 //                                  protocol-only, same schedule, cheap)
